@@ -79,6 +79,8 @@ class _Parser:
         self.unit: tuple[str, int, int] | None = None
         self.pushouts: list[PushoutEntry] = []
         self.sums: dict[tuple[str, str], str] = {}
+        # (line, column) of each recorded sum entry, for late zero-law errors
+        self.sum_positions: dict[tuple[str, str], tuple[int, int]] = {}
         self.products: dict[tuple[str, str], str] = {}
         # label references checked after all declarations are known
         self.references: list[tuple[str, int, int]] = []
@@ -261,6 +263,7 @@ class _Parser:
                 self.warning(lineno, tokens[0][1], f"duplicate sum entry for ({a}, {b})")
             return
         self.sums[(a, b)] = c
+        self.sum_positions[(a, b)] = (lineno, tokens[0][1])
 
     def parse_product(self, lineno: int, tokens) -> None:
         parsed = self.parse_table_line(lineno, tokens, "*")
@@ -286,22 +289,8 @@ class _Parser:
             zero = self.zero[0]
             for (a, b), c in self.sums.items():
                 if a == zero and c != b or b == zero and c != a:
-                    line, col = self.table_position(a, b)
+                    line, col = self.sum_positions[(a, b)]
                     self.error(line, col, f"sum {a} + {b} = {c} breaks the zero-object law")
-
-    def table_position(self, a: str, b: str) -> tuple[int, int]:
-        # recover the line of a sum entry for late diagnostics
-        for lineno, raw in enumerate(self.src.text.splitlines(), start=1):
-            code = raw.split("#", 1)[0]
-            tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
-            if (
-                len(tokens) >= 4
-                and tokens[0][0] == "sum"
-                and tokens[1][0] == a
-                and tokens[3][0] == b
-            ):
-                return lineno, tokens[0][1]
-        return 1, 1
 
 
 def parse_spec(src: SpecSource) -> ParseResult:
@@ -331,60 +320,67 @@ def print_spec(s: CategorySpec) -> str:
 def parse_bracket_word(text: str):
     """Bracket expression -> nested tree of labels; odd arity enforced.
 
-    Examples: 'A', '[A,B,C]', '[A,[B,C,D],E]'.
+    Examples: 'A', '[A,B,C]', '[A,[B,C,D],E]'.  Open brackets live on an
+    explicit stack, so nesting depth is bounded only by the input length.
     """
+    n = len(text)
     pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
+    stack: list[tuple[list, int]] = []  # (children so far, column of the '[')
+    node = None  # the node just completed, waiting for its parent
+    while True:
+        while pos < n and text[pos].isspace():
             pos += 1
-
-    def parse_node():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise WordSyntaxError("unexpected end of input", pos + 1)
-        if text[pos] == "[":
-            open_col = pos + 1
+        if node is None:
+            if pos >= n:
+                raise WordSyntaxError("unexpected end of input", pos + 1)
+            if text[pos] == "[":
+                stack.append(([], pos + 1))
+                pos += 1
+                continue
+            start = pos
+            while pos < n and not text[pos].isspace() and text[pos] not in "[],":
+                pos += 1
+            node = text[start:pos]
+            if not node:
+                raise WordSyntaxError(f"expected a label, got {text[start]!r}", start + 1)
+            problem = _label_problem(node)
+            if problem:
+                raise WordSyntaxError(problem, start + 1)
+            continue
+        if not stack:
+            if pos != n:
+                raise WordSyntaxError(f"unexpected trailing input {text[pos:]!r}", pos + 1)
+            return node
+        children, open_col = stack[-1]
+        children.append(node)
+        node = None
+        if pos >= n:
+            raise WordSyntaxError("unclosed bracket", open_col)
+        if text[pos] == ",":
             pos += 1
-            children = []
-            while True:
-                children.append(parse_node())
-                skip_ws()
-                if pos >= len(text):
-                    raise WordSyntaxError("unclosed bracket", open_col)
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == "]":
-                    pos += 1
-                    break
-                raise WordSyntaxError(f"expected ',' or ']', got {text[pos]!r}", pos + 1)
-            if len(children) % 2 == 0:
-                raise WordSyntaxError(
-                    f"brackets need odd arity, got {len(children)} entries", open_col
-                )
-            return children
-        start = pos
-        while pos < len(text) and not text[pos].isspace() and text[pos] not in "[],":
-            pos += 1
-        token = text[start:pos]
-        if not token:
-            raise WordSyntaxError(f"expected a label, got {text[start]!r}", start + 1)
-        problem = _label_problem(token)
-        if problem:
-            raise WordSyntaxError(problem, start + 1)
-        return token
-
-    node = parse_node()
-    skip_ws()
-    if pos != len(text):
-        raise WordSyntaxError(f"unexpected trailing input {text[pos:]!r}", pos + 1)
-    return node
+            continue
+        if text[pos] != "]":
+            raise WordSyntaxError(f"expected ',' or ']', got {text[pos]!r}", pos + 1)
+        pos += 1
+        stack.pop()
+        if len(children) % 2 == 0:
+            raise WordSyntaxError(f"brackets need odd arity, got {len(children)} entries", open_col)
+        node = children
 
 
 def bracket_text(tree) -> str:
-    if isinstance(tree, str):
-        return tree
-    return "[" + ",".join(bracket_text(child) for child in tree) + "]"
+    out: list[str] = []
+    stack = [tree]  # nodes, and the punctuation still to print after them
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        children = list(node)
+        out.append("[")
+        stack.append("]")
+        for i in range(len(children) - 1, -1, -1):
+            stack.append(children[i])
+            if i:
+                stack.append(",")
+    return "".join(out)

@@ -5,8 +5,8 @@ A heap is a set with a ternary bracket satisfying para-associativity
 Free heap words embed into the free group as alternating products
 x1 * x2^-1 * x3 * ..., so normal forms are computed by free reduction:
 adjacent letters always carry opposite signs, hence cancel exactly when
-equal.  Finite models carry explicit operation tables and are checked
-exhaustively against the axioms at construction time.
+equal.  Finite models carry read-only operation tables, validated on
+construction; a heap table is validated through its retract group.
 
 All values are immutable; every operation is a pure function.
 """
@@ -14,6 +14,7 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 RESERVED_LABEL_CHARS = frozenset("[],#*+=<>:")
@@ -32,6 +33,12 @@ def check_label(name: str) -> str:
 
 
 class HeapAxiomError(ValueError):
+    """A ternary table that is not a heap.
+
+    ``witness`` holds the elements where the retract at carrier[0] breaks a
+    group law, or a triple (a, b, c) with [a,b,c] != a * b^-1 * c in it.
+    """
+
     def __init__(self, message: str, witness: tuple = ()):
         super().__init__(message)
         self.witness = witness
@@ -120,30 +127,30 @@ def word_from_tree(tree) -> FreeHeapWord:
     brackets expand in the free heap.
     """
     out: list[str] = []
-    _flatten(tree, False, out)
+    stack = [(tree, False)]  # (node, reversed?): depth is bounded only by memory
+    while stack:
+        node, reverse = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        children = list(node)
+        if not children or len(children) % 2 == 0:
+            raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
+        # pushed last-visited first; a child in an odd position flips the direction
+        indices = range(len(children)) if reverse else range(len(children) - 1, -1, -1)
+        for i in indices:
+            stack.append((children[i], reverse != (i % 2 == 1)))
     return FreeHeapWord(tuple(out))
-
-
-def _flatten(node, reverse: bool, out: list[str]) -> None:
-    if isinstance(node, str):
-        out.append(node)
-        return
-    children = list(node)
-    if not children or len(children) % 2 == 0:
-        raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
-    indices = range(len(children) - 1, -1, -1) if reverse else range(len(children))
-    for i in indices:
-        _flatten(children[i], reverse != (i % 2 == 1), out)
 
 
 @dataclass(frozen=True, eq=True)
 class GroupModel:
-    """Finite group as explicit tables, validated exhaustively on construction."""
+    """Finite group as read-only copies of explicit tables, validated in O(n^3)."""
 
     carrier: tuple[str, ...]
-    op: dict
+    op: Mapping
     identity: str
-    inverse: dict
+    inverse: Mapping
 
     def __post_init__(self):
         elems = self.carrier
@@ -153,62 +160,67 @@ class GroupModel:
             raise GroupAxiomError("a group needs at least the identity element")
         if self.identity not in elems:
             raise GroupAxiomError(f"identity {self.identity!r} not in carrier")
+        object.__setattr__(self, "op", MappingProxyType(dict(self.op)))
+        object.__setattr__(self, "inverse", MappingProxyType(dict(self.inverse)))
+        op, inverse = self.op, self.inverse
         for a in elems:
-            if a not in self.inverse or self.inverse[a] not in elems:
+            if a not in inverse or inverse[a] not in elems:
                 raise GroupAxiomError(f"inverse table not total at {a!r}")
             for b in elems:
-                if (a, b) not in self.op or self.op[(a, b)] not in elems:
+                if (a, b) not in op or op[(a, b)] not in elems:
                     raise GroupAxiomError(f"operation table not total at ({a!r}, {b!r})")
         for a in elems:
-            if self.op[(self.identity, a)] != a or self.op[(a, self.identity)] != a:
+            if op[(self.identity, a)] != a or op[(a, self.identity)] != a:
                 raise GroupAxiomError("identity law fails", witness=(a,))
-            if self.op[(a, self.inverse[a])] != self.identity:
+            if op[(a, inverse[a])] != self.identity:
                 raise GroupAxiomError("inverse law fails", witness=(a,))
         for a in elems:
             for b in elems:
-                ab = self.op[(a, b)]
+                ab = op[(a, b)]
                 for c in elems:
-                    if self.op[(ab, c)] != self.op[(a, self.op[(b, c)])]:
+                    if op[(ab, c)] != op[(a, op[(b, c)])]:
                         raise GroupAxiomError("associativity fails", witness=(a, b, c))
 
 
 @dataclass(frozen=True, eq=True)
 class FiniteHeapModel:
-    """Finite heap as an explicit ternary table; axioms checked exhaustively.
+    """Finite heap as a read-only copy of a ternary table, validated in O(n^3).
 
-    An empty carrier is allowed (all axioms hold vacuously), but it has no
-    retracts since there is no basepoint.
+    The table is a heap exactly when its retract at e = carrier[0] is a group
+    (checked by GroupModel) and [a,b,c] = a * b^-1 * c throughout, for then it
+    is the heap of that group.  An empty carrier is allowed (all axioms hold
+    vacuously), but it has no retracts since there is no basepoint.
     """
 
     carrier: tuple[str, ...]
-    ternary: dict
+    ternary: Mapping
 
     def __post_init__(self):
         elems = self.carrier
-        if len(set(elems)) != len(elems):
+        members = set(elems)
+        if len(members) != len(elems):
             raise HeapAxiomError("carrier labels must be distinct")
-        t = self.ternary
+        t = MappingProxyType(dict(self.ternary))
+        object.__setattr__(self, "ternary", t)
         for a in elems:
             for b in elems:
                 for c in elems:
-                    if (a, b, c) not in t or t[(a, b, c)] not in elems:
+                    if (a, b, c) not in t or t[(a, b, c)] not in members:
                         raise HeapAxiomError(f"ternary table not total at ({a!r}, {b!r}, {c!r})")
-        for x in elems:
-            for y in elems:
-                if t[(x, x, y)] != y:
-                    raise HeapAxiomError("left cancellation [x,x,y] = y fails", witness=(x, y))
-                if t[(y, x, x)] != y:
-                    raise HeapAxiomError("right cancellation [y,x,x] = y fails", witness=(x, y))
+        if not elems:
+            return
+        e = elems[0]
+        try:
+            g = retract_group(self, e)
+        except GroupAxiomError as exc:
+            raise HeapAxiomError(f"retract at {e!r}: {exc}", witness=exc.witness) from exc
+        op, inverse = g.op, g.inverse
         for a in elems:
             for b in elems:
+                ab_inv = op[(a, inverse[b])]
                 for c in elems:
-                    left = t[(a, b, c)]
-                    for d in elems:
-                        for e in elems:
-                            if t[(left, d, e)] != t[(a, b, t[(c, d, e)])]:
-                                raise HeapAxiomError(
-                                    "para-associativity fails", witness=(a, b, c, d, e)
-                                )
+                    if t[(a, b, c)] != op[(ab_inv, c)]:
+                        raise HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {e!r}", witness=(a, b, c))
 
     def apply(self, a: str, b: str, c: str) -> str:
         return self.ternary[(a, b, c)]
@@ -247,35 +259,25 @@ def check_heap_morphism(
     target: FiniteHeapModel,
     base: str | None = None,
 ) -> MorphismCheck:
-    """Exhaustively test phi([x,y,z]) = [phi x, phi y, phi z].
+    """Test phi([x,y,z]) = [phi x, phi y, phi z] in O(n^2).
 
-    With ``base`` given, additionally confirms that the retract groups at
-    ``base`` and its image satisfy the homomorphism law on all pairs.
+    Between heaps this is the homomorphism law of the retracts at e and
+    phi(e), phi([x,e,y]) = [phi x, phi e, phi y], with e = ``base`` (which
+    also sets ``group_law_ok``) or carrier[0]; a failing (x, e, y) is the witness.
     """
     for x in source.carrier:
         if x not in mapping:
             raise ValueError(f"mapping is not total: missing {x!r}")
         if mapping[x] not in target.carrier:
             raise ValueError(f"mapping sends {x!r} outside the target carrier")
-    for x in source.carrier:
-        for y in source.carrier:
-            for z in source.carrier:
-                lhs = mapping[source.ternary[(x, y, z)]]
-                rhs = target.ternary[(mapping[x], mapping[y], mapping[z])]
-                if lhs != rhs:
-                    return MorphismCheck(ok=False, witness=(x, y, z))
-    if base is None:
-        return MorphismCheck(ok=True)
-    if base not in source.carrier:
+    if base is not None and base not in source.carrier:
         raise ValueError(f"basepoint {base!r} not in source carrier")
-    image = mapping[base]
+    e = source.carrier[0] if base is None and source.carrier else base
     for x in source.carrier:
         for y in source.carrier:
-            lhs = mapping[source.ternary[(x, base, y)]]
-            rhs = target.ternary[(mapping[x], image, mapping[y])]
-            if lhs != rhs:
-                return MorphismCheck(ok=True, group_law_ok=False, witness=(x, y))
-    return MorphismCheck(ok=True, group_law_ok=True)
+            if mapping[source.ternary[(x, e, y)]] != target.ternary[(mapping[x], mapping[e], mapping[y])]:
+                return MorphismCheck(False, (x, e, y), None if base is None else False)
+    return MorphismCheck(True, None, None if base is None else True)
 
 
 def cyclic_group(n: int) -> GroupModel:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import cycle
 from typing import Iterable, Mapping
 
 from .heaps import check_label
@@ -144,21 +145,20 @@ def normalize_affine(tree) -> AffineWord:
     ``tree`` is a generator label or an odd-length sequence of subtrees;
     signs alternate +,-,+,... inside every node.
     """
-    return AffineWord.from_coefficients(_expand(tree, 1))
-
-
-def _expand(node, sign: int) -> dict[str, int]:
-    if isinstance(node, str):
-        return {check_label(node): sign}
-    children = list(node)
-    if not children or len(children) % 2 == 0:
-        raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
     acc: dict[str, int] = {}
-    for i, child in enumerate(children):
-        child_sign = sign if i % 2 == 0 else -sign
-        for label, c in _expand(child, child_sign).items():
-            acc[label] = acc.get(label, 0) + c
-    return {k: v for k, v in acc.items() if v}
+    stack = [(tree, 1)]  # (node, sign): depth is bounded only by memory
+    while stack:
+        node, sign = stack.pop()
+        if isinstance(node, str):
+            label = check_label(node)
+            acc[label] = acc.get(label, 0) + sign
+            continue
+        children = list(node)
+        if not children or len(children) % 2 == 0:
+            raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
+        # the last child is in an even position (odd arity), so it keeps the sign
+        stack.extend(zip(reversed(children), cycle((sign, -sign))))
+    return AffineWord.from_coefficients(acc)  # drops zero coefficients
 
 
 @dataclass(frozen=True)

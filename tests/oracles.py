@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: free reduction is a
 scan-until-fixpoint on explicit (letter, sign) pairs, determinants use
-cofactor expansion, Smith factors come from gcds of minors, and group
-isomorphy is decided by exhaustive backtracking search over bijections.
+cofactor expansion, Smith factors come from gcds of minors, group
+isomorphy is decided by exhaustive backtracking search over bijections, and
+heap axioms and heap morphisms are checked on every tuple of elements.
 """
 
 from __future__ import annotations
@@ -138,3 +139,30 @@ def find_isomorphism(g1, g2):
 def random_odd_word(rng, alphabet, max_len):
     length = rng.randrange(1, max_len + 1, 2)
     return tuple(rng.choice(alphabet) for _ in range(length))
+
+
+def heap_axiom_failure(carrier, table):
+    """First heap-axiom failure of a ternary table by exhaustive search, or None.
+
+    Checks totality, the cancellation laws [x,x,y] = y = [y,x,x] and
+    para-associativity [[a,b,c],d,e] = [a,b,[c,d,e]] on every tuple, O(n^5).
+    """
+    members = set(carrier)
+    for key in itertools.product(carrier, repeat=3):
+        if table.get(key) not in members:
+            return ("total", key)
+    for x, y in itertools.product(carrier, repeat=2):
+        if table[(x, x, y)] != y or table[(y, x, x)] != y:
+            return ("cancellation", (x, y))
+    for a, b, c, d, e in itertools.product(carrier, repeat=5):
+        if table[(table[(a, b, c)], d, e)] != table[(a, b, table[(c, d, e)])]:
+            return ("para-associativity", (a, b, c, d, e))
+    return None
+
+
+def triple_morphism_failure(mapping, source_carrier, source_table, target_table):
+    """First (x, y, z) with phi([x,y,z]) != [phi x, phi y, phi z], or None; O(n^3)."""
+    for x, y, z in itertools.product(source_carrier, repeat=3):
+        if mapping[source_table[(x, y, z)]] != target_table[(mapping[x], mapping[y], mapping[z])]:
+            return (x, y, z)
+    return None

@@ -64,6 +64,32 @@ def test_reduce_rejects_even_bracket(capsys):
     assert "odd arity" in capsys.readouterr().err
 
 
+DEEP = 5000
+
+
+def test_reduce_deeply_nested_word(capsys):
+    deep = "[" * DEEP + "a" + ",b,c]" * DEEP
+    assert run_cli(["reduce", deep]) == 0
+    assert capsys.readouterr().out == "[" + ",".join(["a"] + ["b", "c"] * DEEP) + "]\n"
+
+
+def test_equal_deeply_nested_words(data_dir, capsys):
+    path = str(data_dir / "valid" / "set3.cat")
+    plus_n = "[" * DEEP + "empty" + ",1,2]" * DEEP
+    also_plus_n = "[" * DEEP + "empty" + ",2,3]" * DEEP
+    plus_2n = "[" * DEEP + "empty" + ",1,3]" * DEEP
+    assert run_cli(["equal", path, plus_n, also_plus_n]) == 0
+    assert "equal true" in capsys.readouterr().out
+    assert run_cli(["equal", path, plus_n, plus_2n]) == 0
+    assert "equal false" in capsys.readouterr().out
+
+
+def test_deep_unclosed_bracket_reports_its_column(capsys):
+    deep = "[a,b," + "[" * DEEP + "a" + ",b,c]" * (DEEP - 1)
+    assert run_cli(["reduce", deep]) == 2
+    assert "column 6: unclosed bracket" in capsys.readouterr().err
+
+
 def test_group_human_output(data_dir, capsys):
     path = str(data_dir / "valid" / "set3.cat")
     assert run_cli(["group", path, "--base", "empty"]) == 0
