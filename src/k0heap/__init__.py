@@ -27,7 +27,7 @@ from .heaps import (
     retract_group,
     ternary,
 )
-from .lattice import IntMatrix, InvariantFactors, hnf, lattice_member, snf
+from .lattice import IntMatrix, InvariantFactors, hnf, snf
 from .presentation import (
     AbelianHeapPresentation,
     AffineWord,
@@ -38,7 +38,6 @@ from .presentation import (
     normalize_affine,
     retract_group_structure,
     truss_from_table,
-    truss_product,
     word_equal,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "induced_morphism",
     "k0_group",
     "k0_presentation",
-    "lattice_member",
     "nary_product",
     "normalize_affine",
     "reduce_word",
@@ -74,7 +72,6 @@ __all__ = [
     "split_presentation",
     "ternary",
     "truss_from_table",
-    "truss_product",
     "validate_spec",
     "word_equal",
 ]

@@ -11,6 +11,8 @@ vector (for instance pushouts along an identity) are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .presentation import (
     AbelianHeapPresentation,
@@ -69,14 +71,23 @@ def pushout_sort_key(e: PushoutEntry):
 
 @dataclass(frozen=True, eq=False)
 class CategorySpec:
-    """Finite category description; equality ignores entry order."""
+    """Finite category description; equality ignores entry order.
+
+    The sum and product tables are kept as read-only copies.
+    """
 
     objects: tuple[str, ...]
     pushouts: tuple[PushoutEntry, ...] = ()
     zero: str | None = None
-    sums: dict | None = None
-    products: dict | None = None
+    sums: Mapping | None = None
+    products: Mapping | None = None
     unit: str | None = None
+
+    def __post_init__(self):
+        for name in ("sums", "products"):
+            table = getattr(self, name)
+            if table is not None:
+                object.__setattr__(self, name, MappingProxyType(dict(table)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CategorySpec):
@@ -97,7 +108,10 @@ class CategorySpec:
 class FunctorSpec:
     source: CategorySpec
     target: CategorySpec
-    object_map: dict = field(default_factory=dict)
+    object_map: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "object_map", MappingProxyType(dict(self.object_map)))
 
 
 def validate_spec(s: CategorySpec) -> list[SpecIssue]:
@@ -185,10 +199,6 @@ class ProjectionReport:
     contained: bool
     equal: bool
     witness: RelationVector | None = None
-
-    @property
-    def strict(self) -> bool:
-        return self.contained and not self.equal
 
     @property
     def classification(self) -> str:

@@ -345,3 +345,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

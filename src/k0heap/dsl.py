@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .category import CategorySpec, PushoutEntry, pushout_sort_key
-from .heaps import RESERVED_LABEL_CHARS
+from .heaps import check_label
 
 _TOKEN = re.compile(r",|[^\s,]+")
 
@@ -58,15 +58,6 @@ class WordSyntaxError(ValueError):
     def __init__(self, message: str, column: int):
         super().__init__(f"column {column}: {message}")
         self.column = column
-
-
-def _label_problem(token: str) -> str | None:
-    if not token:
-        return "empty label"
-    for ch in token:
-        if ch in RESERVED_LABEL_CHARS:
-            return f"label {token!r} contains reserved character {ch!r}"
-    return None
 
 
 class _Parser:
@@ -133,9 +124,10 @@ class _Parser:
             self.error(lineno, last_col + len(last_tok), "missing label")
             return None
         tok, col = tokens[i]
-        problem = _label_problem(tok)
-        if problem:
-            self.error(lineno, col, problem)
+        try:
+            check_label(tok)
+        except ValueError as exc:
+            self.error(lineno, col, str(exc))
             return None
         if declare:
             if tok in self.declared:
@@ -343,9 +335,10 @@ def parse_bracket_word(text: str):
             node = text[start:pos]
             if not node:
                 raise WordSyntaxError(f"expected a label, got {text[start]!r}", start + 1)
-            problem = _label_problem(node)
-            if problem:
-                raise WordSyntaxError(problem, start + 1)
+            try:
+                check_label(node)
+            except ValueError as exc:
+                raise WordSyntaxError(str(exc), start + 1) from None
             continue
         if not stack:
             if pos != n:

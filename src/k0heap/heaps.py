@@ -92,10 +92,6 @@ def reduce_word(w: FreeHeapWord) -> FreeHeapWord:
     return FreeHeapWord(tuple(stack))
 
 
-def is_reduced(w: FreeHeapWord) -> bool:
-    return all(a != b for a, b in zip(w.letters, w.letters[1:]))
-
-
 def nary_product(words: Sequence[FreeHeapWord]) -> FreeHeapWord:
     """Left-associated iterated ternary product of an odd list of words.
 
@@ -221,9 +217,6 @@ class FiniteHeapModel:
                 for c in elems:
                     if t[(a, b, c)] != op[(ab_inv, c)]:
                         raise HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {e!r}", witness=(a, b, c))
-
-    def apply(self, a: str, b: str, c: str) -> str:
-        return self.ternary[(a, b, c)]
 
 
 def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:

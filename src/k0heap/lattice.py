@@ -1,9 +1,11 @@
-"""Exact integer matrix normal forms: Hermite, Smith, lattice membership.
+"""Exact integer matrix normal forms: Hermite and Smith.
 
 All arithmetic is arbitrary-precision Python int.  A lattice is always the
 integer span of the *rows* of a matrix: relations are row vectors over
-generator coordinates.  Entry growth during elimination is kept in check by
-always pivoting on a minimal-absolute-value nonzero entry.
+generator coordinates, and a vector lies in the lattice exactly when its
+``residue`` against the Hermite form is zero.  Entry growth during
+elimination is kept in check by always pivoting on a minimal-absolute-value
+nonzero entry.
 
 Matrices are immutable values; every function returns fresh objects.
 """
@@ -92,50 +94,6 @@ class SmithDecomposition:
 
 def identity_matrix(n: int) -> IntMatrix:
     return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions do not match")
-    brows = b.to_rows()
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        acc = [0] * b.cols
-        for k, coeff in enumerate(arow):
-            if coeff:
-                brow = brows[k]
-                for j in range(b.cols):
-                    acc[j] += coeff * brow[j]
-        out.append(acc)
-    return IntMatrix.from_rows(out, cols=b.cols)
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _row_sub(target: list[int], source: list[int], q: int) -> None:
@@ -228,12 +186,6 @@ def residue(h: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
             for j in range(c, h.cols):
                 w[j] -= q * row[j]
     return tuple(w)
-
-
-def lattice_member(m: IntMatrix, v: Sequence[int]) -> bool:
-    """True when ``v`` lies in the integer span of the rows of ``m``."""
-    h, _ = hnf(m)
-    return not any(residue(h, v))
 
 
 def _col_sub(a: list[list[int]], j: int, t: int, q: int) -> None:

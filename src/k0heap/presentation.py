@@ -8,8 +8,11 @@ difference lies in the integer span of the relations, decided through the
 Hermite normal form of the relation matrix.  Retract groups are read off
 the Smith normal form in basepoint-relative coordinates.
 
-Presentations are immutable and hashable; the Hermite basis is cached per
-presentation, so repeated equality queries are cheap and concurrency-safe.
+Presentations are immutable and hashable.  The Hermite basis of each
+presentation's relation matrix is kept in one module-level, unbounded
+``lru_cache`` keyed by the presentation's value: repeated queries on an
+equal presentation reuse it, each lookup hashes the whole presentation, and
+the cache never evicts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import ClassVar, Iterable, Mapping
 
 from .heaps import check_label
 from .lattice import IntMatrix, InvariantFactors, hnf, residue, smith_decomposition
@@ -33,92 +37,66 @@ class MissingProductError(ValueError):
         self.pair = pair
 
 
-def _clean_terms(coeffs: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
-    items = []
-    for label, c in coeffs.items():
-        check_label(label)
-        if c:
-            items.append((label, int(c)))
-    items.sort()
-    return tuple(items)
-
-
-def _terms_text(terms: tuple[tuple[str, int], ...]) -> str:
-    if not terms:
-        return "0"
-    return " ".join(f"{label}:{c}" for label, c in terms)
-
-
 @dataclass(frozen=True)
-class AffineWord:
-    """Integer combination of generators with coefficient sum 1."""
+class _SparseTerms:
+    """Sorted nonzero (label, coefficient) pairs with a fixed coefficient sum.
+
+    Subclasses set the required sum and the noun used in its error message;
+    equality also compares the class, so an affine word never equals a
+    relation vector with the same terms.
+    """
 
     terms: tuple[tuple[str, int], ...]
+    _total: ClassVar[int]
+    _noun: ClassVar[str]
 
     def __post_init__(self):
         total = sum(c for _, c in self.terms)
-        if total != 1:
-            raise ValueError(f"affine word coefficients must sum to 1, got {total}")
+        if total != self._total:
+            raise ValueError(f"{self._noun} coefficients must sum to {self._total}, got {total}")
 
     @classmethod
-    def from_coefficients(cls, coeffs: Mapping[str, int]) -> "AffineWord":
-        return cls(_clean_terms(coeffs))
+    def from_coefficients(cls, coeffs: Mapping[str, int]):
+        items = [(check_label(label), int(c)) for label, c in coeffs.items()]
+        return cls(tuple(sorted(item for item in items if item[1])))
+
+    def coefficient(self, label: str) -> int:
+        for name, c in self.terms:
+            if name == label:
+                return c
+        return 0
+
+    @property
+    def support(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.terms)
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(self.terms)
+
+    def __str__(self) -> str:
+        return " ".join(f"{label}:{c}" for label, c in self.terms) or "0"
+
+
+class AffineWord(_SparseTerms):
+    """Integer combination of generators with coefficient sum 1."""
+
+    _total = 1
+    _noun = "affine word"
 
     @classmethod
     def generator(cls, label: str) -> "AffineWord":
         return cls(((check_label(label), 1),))
 
-    def coefficient(self, label: str) -> int:
-        for name, c in self.terms:
-            if name == label:
-                return c
-        return 0
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.terms)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.terms)
-
-    def __str__(self) -> str:
-        return _terms_text(self.terms)
-
-
-@dataclass(frozen=True)
-class RelationVector:
+class RelationVector(_SparseTerms):
     """Integer combination of generators with coefficient sum 0."""
 
-    terms: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        total = sum(c for _, c in self.terms)
-        if total != 0:
-            raise ValueError(f"relation coefficients must sum to 0, got {total}")
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Mapping[str, int]) -> "RelationVector":
-        return cls(_clean_terms(coeffs))
-
-    def coefficient(self, label: str) -> int:
-        for name, c in self.terms:
-            if name == label:
-                return c
-        return 0
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.terms)
+    _total = 0
+    _noun = "relation"
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.terms)
-
-    def __str__(self) -> str:
-        return _terms_text(self.terms)
 
 
 def combine(parts: Iterable[tuple[int, Mapping[str, int]]]) -> dict[str, int]:
@@ -179,11 +157,12 @@ class AbelianHeapPresentation:
                 if g not in known:
                     raise UnknownGeneratorError(f"relation mentions unknown generator {g!r}")
 
-    def check_support(self, w: AffineWord | RelationVector) -> None:
-        known = set(self.generators)
-        for g in w.support:
-            if g not in known:
-                raise UnknownGeneratorError(f"unknown generator {g!r}")
+
+def check_support(generators: tuple[str, ...], w: AffineWord | RelationVector) -> None:
+    known = set(generators)
+    for g in w.support:
+        if g not in known:
+            raise UnknownGeneratorError(f"unknown generator {g!r}")
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +179,8 @@ def in_relation_lattice(p: AbelianHeapPresentation, coeffs: Mapping[str, int]) -
 
 
 def word_equal(p: AbelianHeapPresentation, w1: AffineWord, w2: AffineWord) -> bool:
-    p.check_support(w1)
-    p.check_support(w2)
+    check_support(p.generators, w1)
+    check_support(p.generators, w2)
     diff = combine([(1, w1.as_dict()), (-1, w2.as_dict())])
     return in_relation_lattice(p, diff)
 
@@ -225,10 +204,7 @@ class GroupStructure:
     _torsion_columns: tuple[tuple[int, int], ...]
 
     def class_coordinates(self, w: AffineWord) -> tuple[int, ...]:
-        known = set(self.generators)
-        for g in w.support:
-            if g not in known:
-                raise UnknownGeneratorError(f"unknown generator {g!r}")
+        check_support(self.generators, w)
         v = [w.coefficient(g) for g in self.axis]
         n = len(self.axis)
         image = [sum(v[i] * self._transform[i][j] for i in range(n)) for j in range(n)]
@@ -282,10 +258,13 @@ def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStruc
 class PresentationMorphism:
     source: AbelianHeapPresentation
     target: AbelianHeapPresentation
-    images: dict
+    images: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
 
     def apply(self, w: AffineWord) -> AffineWord:
-        self.source.check_support(w)
+        check_support(self.source.generators, w)
         return AffineWord.from_coefficients(
             combine([(c, self.images[g].as_dict()) for g, c in w.terms])
         )
@@ -311,7 +290,7 @@ def induced_morphism(
     for g in src.generators:
         if g not in genmap:
             raise ValueError(f"generator map is not total: missing {g!r}")
-        dst.check_support(genmap[g])
+        check_support(dst.generators, genmap[g])
     for rel in src.relations:
         pushed = combine([(c, genmap[g].as_dict()) for g, c in rel.terms])
         if not in_relation_lattice(dst, pushed):
@@ -326,8 +305,11 @@ def induced_morphism(
 class TrussTable:
     """Products of generator pairs as affine words, with an optional unit label."""
 
-    entries: dict
+    entries: Mapping
     unit: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
 
 @dataclass(frozen=True)
@@ -346,8 +328,8 @@ class Truss:
 
     def product(self, w1: AffineWord, w2: AffineWord) -> AffineWord:
         """Bilinear extension of the generator table; total coefficient stays 1."""
-        self.presentation.check_support(w1)
-        self.presentation.check_support(w2)
+        check_support(self.presentation.generators, w1)
+        check_support(self.presentation.generators, w2)
         parts = []
         for g, a in w1.terms:
             for h, b in w2.terms:
@@ -378,7 +360,7 @@ def truss_from_table(p: AbelianHeapPresentation, table: TrussTable) -> TrussChec
     for (g, h), w in table.entries.items():
         if g not in known or h not in known:
             raise UnknownGeneratorError(f"product entry ({g!r}, {h!r}) mentions unknown generators")
-        p.check_support(w)
+        check_support(p.generators, w)
     if table.unit is not None and table.unit not in known:
         raise UnknownGeneratorError(f"unit {table.unit!r} is not a generator")
 
@@ -427,7 +409,3 @@ def truss_from_table(p: AbelianHeapPresentation, table: TrussTable) -> TrussChec
         unit_law=unit_law,
         truss=Truss(presentation=p, table=table),
     )
-
-
-def truss_product(t: Truss, w1: AffineWord, w2: AffineWord) -> AffineWord:
-    return t.product(w1, w2)

@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own algorithms: free reduction is a
-scan-until-fixpoint on explicit (letter, sign) pairs, determinants use
-cofactor expansion, Smith factors come from gcds of minors, group
+scan-until-fixpoint on explicit (letter, sign) pairs, matrix products are
+schoolbook sums over row lists, determinants use cofactor expansion, Smith factors come from gcds of minors, group
 isomorphy is decided by exhaustive backtracking search over bijections, and
 heap axioms and heap morphisms are checked on every tuple of elements.
 """
@@ -27,6 +27,12 @@ def free_reduce_letters(letters):
     for i, (_, sign) in enumerate(pairs):
         assert sign == (1 if i % 2 == 0 else -1), "reduced word stopped alternating"
     return tuple(x for x, _ in pairs)
+
+
+def matmul(a, b):
+    """Product of two matrices given as lists of rows."""
+    cols = len(b[0]) if b else 0
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)] for row in a]
 
 
 def det_cofactor(rows):

@@ -16,6 +16,7 @@ from k0heap.category import (
     truss_table,
     validate_spec,
 )
+from k0heap.dsl import print_spec
 from k0heap.instances import finite_sets_spec, vect_spec
 from k0heap.presentation import (
     AbelianHeapPresentation,
@@ -234,3 +235,28 @@ def test_spec_equality_ignores_entry_order():
         unit=s.unit,
     )
     assert s == reversed_entries
+
+
+def test_spec_tables_are_frozen_copies():
+    s = finite_sets_spec(3)
+    text = print_spec(s)
+    sums, products = dict(s.sums), dict(s.products)
+    frozen = CategorySpec(
+        objects=s.objects, pushouts=s.pushouts, zero=s.zero, sums=sums, products=products, unit=s.unit
+    )
+    sums[("3", "3")] = "3"
+    products[("3", "3")] = "1"
+    assert frozen == s
+    assert print_spec(frozen) == text
+    with pytest.raises(TypeError):
+        frozen.sums[("3", "3")] = "3"
+    with pytest.raises(TypeError):
+        frozen.products[("3", "3")] = "1"
+    assert CategorySpec(objects=("A",), sums={}, products={}) == CategorySpec(objects=("A",))
+
+    object_map = {o: o for o in s.objects}
+    f = FunctorSpec(source=s, target=s, object_map=object_map)
+    object_map["1"] = "2"
+    assert f.object_map["1"] == "1"
+    with pytest.raises(TypeError):
+        f.object_map["1"] = "2"

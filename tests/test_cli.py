@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import k0heap
 from k0heap.cli import run_cli
 from k0heap.dsl import SpecSource, parse_spec
 from k0heap.instances import finite_sets_spec
@@ -227,3 +231,25 @@ def test_usage_error_exit_code():
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+def run_module(*argv):
+    """Run ``python -m k0heap.cli`` on this checkout's sources."""
+    src = str(Path(k0heap.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-m", "k0heap.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point_runs_the_cli(data_dir):
+    bad = data_dir / "malformed" / "dup_object.cat"
+    proc = run_module("present", str(bad))
+    assert proc.returncode == 2
+    assert f"{bad}:2:8: error: duplicate object 'A'" in proc.stderr
+    assert proc.stdout == ""
+    good = run_module("present", str(data_dir / "valid" / "torsion.cat"), "--format", "structured")
+    assert good.returncode == 0
+    assert good.stdout == (data_dir / "golden" / "present_torsion.txt").read_text()

@@ -12,6 +12,7 @@ from k0heap.dsl import (
     parse_spec,
     print_spec,
 )
+from k0heap.heaps import RESERVED_LABEL_CHARS, check_label
 from k0heap.instances import finite_sets_spec
 
 EXPECT = re.compile(r"#\s*expect:\s*(error|warning)\s+(\d+)\s+(\d+)\s+(.*)")
@@ -152,3 +153,29 @@ def test_bracket_word_errors_carry_columns():
         parse_bracket_word("A B")
     with pytest.raises(WordSyntaxError):
         parse_bracket_word("")
+
+
+def label_message(token):
+    with pytest.raises(ValueError) as exc:
+        check_label(token)
+    return str(exc.value)
+
+
+# ',' is a token of its own and '#' starts a comment, so neither reaches a label
+@pytest.mark.parametrize("ch", sorted(RESERVED_LABEL_CHARS - set(",#")))
+def test_spec_label_reports_check_label_message(ch):
+    token = f"x{ch}y"
+    result = parse_text(f"object A\n  object {token}\n")
+    assert result.spec is None
+    d = result.diagnostics[0]
+    assert (d.severity, d.line, d.column, d.message) == ("error", 2, 10, label_message(token))
+
+
+# '[', ']' and ',' are bracket syntax, so they end a label instead
+@pytest.mark.parametrize("ch", sorted(RESERVED_LABEL_CHARS - set("[],")))
+def test_bracket_label_reports_check_label_message(ch):
+    token = f"x{ch}y"
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_bracket_word(f"[a, {token} ,b]")
+    assert exc.value.column == 5
+    assert str(exc.value) == f"column 5: {label_message(token)}"

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 from k0heap.lattice import (
     IntMatrix,
     InvariantFactors,
-    det,
     hnf,
     identity_matrix,
-    lattice_member,
-    matmul,
+    residue,
     smith_decomposition,
     snf,
 )
-from oracles import det_cofactor, snf_oracle
+from oracles import det_cofactor, matmul, snf_oracle
 
 entries = st.integers(min_value=-9, max_value=9)
+
+
+def member(m, v):
+    return not any(residue(hnf(m)[0], v))
 
 
 def square(n):
@@ -42,19 +44,19 @@ def test_hnf_zero_matrix():
     m = IntMatrix.from_rows([[0, 0], [0, 0]])
     h, u = hnf(m)
     assert h == m
-    assert abs(det(u)) == 1
+    assert abs(det_cofactor(u.to_rows())) == 1
 
 
 def test_hnf_example_2x2():
     m = IntMatrix.from_rows([[2, 4], [6, 8]])
     h, u = hnf(m)
     assert h.to_rows() == [[2, 0], [0, 4]]
-    assert matmul(u, m) == h
-    assert abs(det(u)) == 1
+    assert matmul(u.to_rows(), m.to_rows()) == h.to_rows()
+    assert abs(det_cofactor(u.to_rows())) == 1
     # mutual row-space membership
     for i in range(2):
-        assert lattice_member(m, h.row(i))
-        assert lattice_member(h, m.row(i))
+        assert member(m, h.row(i))
+        assert member(h, m.row(i))
 
 
 def test_snf_zero_matrix_is_free():
@@ -72,12 +74,12 @@ def test_snf_single_pivot():
 
 def test_lattice_member_examples():
     m = IntMatrix.from_rows([[2, 0]])
-    assert lattice_member(m, [0, 0])
-    assert not lattice_member(m, [1, 0])
+    assert member(m, [0, 0])
+    assert not member(m, [1, 0])
     m2 = IntMatrix.from_rows([[1, -1, 0], [0, 1, -1]])
-    assert lattice_member(m2, [1, 0, -1])
+    assert member(m2, [1, 0, -1])
     with pytest.raises(ValueError):
-        lattice_member(m2, [1, 0])
+        member(m2, [1, 0])
 
 
 def test_invariant_factors_chain_enforced():
@@ -112,12 +114,12 @@ def _assert_hnf_shape(h):
 def test_hnf_contract(rows):
     m = IntMatrix.from_rows(rows)
     h, u = hnf(m)
-    assert matmul(u, m) == h
+    assert matmul(u.to_rows(), m.to_rows()) == h.to_rows()
     assert abs(det_cofactor(u.to_rows())) == 1
     _assert_hnf_shape(h)
     for i in range(m.rows):
-        assert lattice_member(h, m.row(i))
-        assert lattice_member(m, h.row(i))
+        assert member(h, m.row(i))
+        assert member(m, h.row(i))
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,9 +146,9 @@ def test_snf_matches_minor_gcd_oracle(rows):
 def test_smith_decomposition_transforms(rows):
     m = IntMatrix.from_rows(rows)
     dec = smith_decomposition(m)
-    product = matmul(matmul(dec.left, m), dec.right)
-    for i in range(product.rows):
-        for j, x in enumerate(product.row(i)):
+    product = matmul(matmul(dec.left.to_rows(), rows), dec.right.to_rows())
+    for i, row in enumerate(product):
+        for j, x in enumerate(row):
             expected = dec.diagonal[i] if i == j and i < len(dec.diagonal) else 0
             assert x == expected
     assert abs(det_cofactor(dec.left.to_rows())) == 1
@@ -159,12 +161,4 @@ def test_member_of_every_row_randomized():
         rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(rng.randint(1, 4))]
         m = IntMatrix.from_rows(rows)
         for row in rows:
-            assert lattice_member(m, row)
-
-
-def test_bareiss_det_matches_cofactor():
-    rng = random.Random(11)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det(IntMatrix.from_rows(rows)) == det_cofactor(rows)
+            assert member(m, row)

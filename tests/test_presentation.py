@@ -9,6 +9,7 @@ from k0heap.presentation import (
     combine,
     AffineWord,
     MissingProductError,
+    PresentationMorphism,
     RelationVector,
     TrussTable,
     UnknownGeneratorError,
@@ -17,7 +18,6 @@ from k0heap.presentation import (
     normalize_affine,
     retract_group_structure,
     truss_from_table,
-    truss_product,
     word_equal,
 )
 
@@ -45,16 +45,38 @@ def small_presentation():
 
 
 def test_affine_word_sum_must_be_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^affine word coefficients must sum to 1, got 2$"):
         aff(a=1, b=1)
     with pytest.raises(ValueError):
         AffineWord(())
 
 
 def test_relation_vector_sum_must_be_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^relation coefficients must sum to 0, got 1$"):
         rel(a=1)
     assert rel().is_zero
+
+
+def test_from_coefficients_drops_zeros_and_sorts():
+    w = AffineWord.from_coefficients({"c": 2, "a": 0, "b": -1})
+    r = RelationVector.from_coefficients({"c": 1, "z": 0, "b": -1})
+    assert w.terms == (("b", -1), ("c", 2))
+    assert r.terms == (("b", -1), ("c", 1))
+    assert (w.support, w.coefficient("c"), w.coefficient("a"), w.as_dict()) == (
+        ("b", "c"), 2, 0, {"b": -1, "c": 2}
+    )
+    assert (str(w), str(r), str(rel())) == ("b:-1 c:2", "b:-1 c:1", "0")
+    with pytest.raises(ValueError):
+        AffineWord.from_coefficients({"a": 1, "b[": 0})  # zero terms are still labels
+
+
+def test_affine_word_never_equals_relation_vector():
+    w = aff(a=2, b=-1)
+    # no relation vector can sum to 1, so build one around the same terms unchecked
+    r = object.__new__(RelationVector)
+    object.__setattr__(r, "terms", w.terms)
+    assert w != r and r != w
+    assert len({w, r}) == 2
 
 
 def test_normalize_affine_examples():
@@ -231,7 +253,7 @@ def test_truss_on_mod_presentation():
     assert check.ok
     assert check.unit_law == "ok"
     t = check.truss
-    assert truss_product(t, gen("g2"), gen("g3")) == gen(f"g{(2 * 3) % n}")
+    assert t.product(gen("g2"), gen("g3")) == gen(f"g{(2 * 3) % n}")
 
 
 def test_truss_violation_witness():
@@ -283,3 +305,20 @@ def test_affine_word_always_sums_to_one(partial):
     coeffs["e"] = coeffs.get("e", 0) + 1 - sum(coeffs.values())
     w = AffineWord.from_coefficients(coeffs)
     assert sum(c for _, c in w.terms) == 1
+
+
+def test_truss_table_and_morphism_images_are_frozen_copies(small_presentation):
+    entries = {("a", "a"): gen("a")}
+    table = TrussTable(entries=entries)
+    entries[("a", "a")] = gen("b")
+    assert table.entries[("a", "a")] == gen("a")
+    with pytest.raises(TypeError):
+        table.entries[("a", "a")] = gen("b")
+
+    p = small_presentation
+    images = {g: gen(g) for g in p.generators}
+    morphism = PresentationMorphism(source=p, target=p, images=images)
+    images["a"] = gen("b")
+    assert morphism.apply(gen("a")) == gen("a")
+    with pytest.raises(TypeError):
+        morphism.images["a"] = gen("b")
