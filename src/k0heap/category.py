@@ -114,6 +114,13 @@ class FunctorSpec:
         object.__setattr__(self, "object_map", MappingProxyType(dict(self.object_map)))
 
 
+def zero_law_violations(zero: str | None, sums: Mapping) -> list[tuple[str, str, str]]:
+    """The sum entries (a, b, c) that break 0 + b = b or a + 0 = a, in table order."""
+    if zero is None:
+        return []
+    return [(a, b, c) for (a, b), c in sums.items() if a == zero and c != b or b == zero and c != a]
+
+
 def validate_spec(s: CategorySpec) -> list[SpecIssue]:
     """Label closure, mono-flag presence, and sum/zero coherence diagnostics."""
     issues: list[SpecIssue] = []
@@ -145,11 +152,8 @@ def validate_spec(s: CategorySpec) -> list[SpecIssue]:
     for (a, b), c in (s.sums or {}).items():
         for label in (a, b, c):
             known(label, "sum entry")
-        if s.zero is not None:
-            if a == s.zero and c != b:
-                issues.append(SpecIssue("error", f"sum {a} + {b} = {c} breaks the zero-object law"))
-            elif b == s.zero and c != a:
-                issues.append(SpecIssue("error", f"sum {a} + {b} = {c} breaks the zero-object law"))
+    for a, b, c in zero_law_violations(s.zero, s.sums or {}):
+        issues.append(SpecIssue("error", f"sum {a} + {b} = {c} breaks the zero-object law"))
     for (a, b), c in (s.products or {}).items():
         for label in (a, b, c):
             known(label, "product entry")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .category import CategorySpec, PushoutEntry, pushout_sort_key
+from .category import CategorySpec, PushoutEntry, pushout_sort_key, zero_law_violations
 from .heaps import check_label
 
 _TOKEN = re.compile(r",|[^\s,]+")
@@ -278,11 +278,9 @@ class _Parser:
             if label not in self.declared:
                 self.error(lineno, col, f"unknown object {label!r}")
         if self.zero is not None and self.zero[0] in self.declared:
-            zero = self.zero[0]
-            for (a, b), c in self.sums.items():
-                if a == zero and c != b or b == zero and c != a:
-                    line, col = self.sum_positions[(a, b)]
-                    self.error(line, col, f"sum {a} + {b} = {c} breaks the zero-object law")
+            for a, b, c in zero_law_violations(self.zero[0], self.sums):
+                line, col = self.sum_positions[(a, b)]
+                self.error(line, col, f"sum {a} + {b} = {c} breaks the zero-object law")
 
 
 def parse_spec(src: SpecSource) -> ParseResult:

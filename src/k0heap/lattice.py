@@ -7,12 +7,18 @@ generator coordinates, and a vector lies in the lattice exactly when its
 elimination is kept in check by always pivoting on a minimal-absolute-value
 nonzero entry.
 
+Only the transforms a caller reads are built.  ``hnf`` returns its rows x
+rows transform, so a caller with a tall matrix folds the rows in through
+``hnf`` in blocks (see ``presentation``); ``smith_decomposition`` builds the
+column transform at once and the rows x rows row transform on first read.
+
 Matrices are immutable values; every function returns fresh objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -81,11 +87,23 @@ class InvariantFactors:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """``left @ matrix @ right`` is diagonal with the given diagonal entries."""
+    """``left @ matrix @ right`` is diagonal with the given diagonal entries.
+
+    ``left`` is rows x rows and no library caller reads it, so it is built
+    on first read, by rerunning the deterministic elimination on the stored
+    matrix with the row transform kept.
+    """
 
     diagonal: tuple[int, ...]
-    left: IntMatrix
     right: IntMatrix
+    _matrix: IntMatrix = field(repr=False)
+
+    @cached_property
+    def left(self) -> IntMatrix:
+        m = self._matrix
+        u = identity_matrix(m.rows).to_rows()
+        _smith_inplace(m.to_rows(), u, identity_matrix(m.cols).to_rows())
+        return IntMatrix.from_rows(u, cols=m.rows)
 
     @property
     def pivot_count(self) -> int:
@@ -198,15 +216,13 @@ def _col_swap(a: list[list[int]], j: int, t: int) -> None:
         row[j], row[t] = row[t], row[j]
 
 
-def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize over the integers with unimodular transforms on both sides.
+def _smith_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> None:
+    """Diagonalize ``a`` in place, mirroring row ops on ``u`` and column ops on ``v``.
 
-    The diagonal forms a divisibility chain d1 | d2 | ... followed by zeros.
+    Every choice depends on ``a`` alone, so empty rows in ``u`` make each
+    mirrored row operation free without changing ``a`` or ``v``.
     """
-    a = m.to_rows()
-    rows, cols = m.rows, m.cols
-    u = identity_matrix(rows).to_rows()
-    v = identity_matrix(cols).to_rows()
+    rows, cols = len(a), len(v)
     t = 0
     bound = min(rows, cols)
     while t < bound:
@@ -261,11 +277,21 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    diagonal = tuple(a[i][i] for i in range(bound))
+
+
+def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
+    """Diagonalize over the integers with unimodular transforms on both sides.
+
+    The diagonal forms a divisibility chain d1 | d2 | ... followed by zeros.
+    Only the column transform is built here; ``left`` waits until it is read.
+    """
+    a = m.to_rows()
+    v = identity_matrix(m.cols).to_rows()
+    _smith_inplace(a, [[] for _ in range(m.rows)], v)
     return SmithDecomposition(
-        diagonal=diagonal,
-        left=IntMatrix.from_rows(u, cols=rows),
-        right=IntMatrix.from_rows(v, cols=cols),
+        diagonal=tuple(a[i][i] for i in range(min(m.rows, m.cols))),
+        right=IntMatrix.from_rows(v, cols=m.cols),
+        _matrix=m,
     )
 
 

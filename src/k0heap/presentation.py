@@ -9,10 +9,13 @@ Hermite normal form of the relation matrix.  Retract groups are read off
 the Smith normal form in basepoint-relative coordinates.
 
 Presentations are immutable and hashable.  The Hermite basis of each
-presentation's relation matrix is kept in one module-level, unbounded
-``lru_cache`` keyed by the presentation's value: repeated queries on an
-equal presentation reuse it, each lookup hashes the whole presentation, and
-the cache never evicts.
+presentation's relation matrix, its rank nonzero rows only, is kept in one
+module-level, unbounded ``lru_cache`` keyed by the presentation's value:
+repeated queries on an equal presentation reuse it, each lookup hashes the
+whole presentation, and the cache never evicts.  The basis is built by
+folding the relations through ``hnf`` n rows at a time (n generators), so
+no rows x rows transform is ever built; the retract group's Smith form
+likewise never builds its row transform, which no query reads.
 """
 
 from __future__ import annotations
@@ -151,11 +154,8 @@ class AbelianHeapPresentation:
             raise ValueError("generators must be distinct")
         for g in self.generators:
             check_label(g)
-        known = set(self.generators)
         for r in self.relations:
-            for g in r.support:
-                if g not in known:
-                    raise UnknownGeneratorError(f"relation mentions unknown generator {g!r}")
+            check_support(self.generators, r)
 
 
 def check_support(generators: tuple[str, ...], w: AffineWord | RelationVector) -> None:
@@ -165,11 +165,27 @@ def check_support(generators: tuple[str, ...], w: AffineWord | RelationVector) -
             raise UnknownGeneratorError(f"unknown generator {g!r}")
 
 
+def _relation_rows(p: AbelianHeapPresentation, labels: tuple[str, ...]) -> list[list[int]]:
+    """The relation matrix of ``p`` over the coordinates ``labels``."""
+    return [[d.get(g, 0) for g in labels] for d in (r.as_dict() for r in p.relations)]
+
+
 @lru_cache(maxsize=None)
 def _relation_hnf(p: AbelianHeapPresentation) -> IntMatrix:
-    rows = [[r.coefficient(g) for g in p.generators] for r in p.relations]
-    h, _ = hnf(IntMatrix.from_rows(rows, cols=len(p.generators)))
-    return h
+    """The nonzero rows of the relation matrix's Hermite form, rank x n.
+
+    Relations are folded into the basis n rows at a time, so each ``hnf``
+    sees at most 2n rows and its discarded transform is at most (2n)^2.
+    The Hermite form of a lattice is unique, so the basis is the one the
+    whole matrix would give.
+    """
+    n = len(p.generators)
+    rows = _relation_rows(p, p.generators)
+    basis: list[list[int]] = []
+    for start in range(0, len(rows), n):
+        h, _ = hnf(IntMatrix.from_rows(basis + rows[start:start + n], cols=n))
+        basis = [row for row in h.to_rows() if any(row)]
+    return IntMatrix.from_rows(basis, cols=n)
 
 
 def in_relation_lattice(p: AbelianHeapPresentation, coeffs: Mapping[str, int]) -> bool:
@@ -235,7 +251,7 @@ def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStruc
     if base not in p.generators:
         raise UnknownGeneratorError(f"basepoint {base!r} is not a generator")
     axis = tuple(g for g in p.generators if g != base)
-    rows = [[r.coefficient(g) for g in axis] for r in p.relations]
+    rows = _relation_rows(p, axis)
     dec = smith_decomposition(IntMatrix.from_rows(rows, cols=len(axis)))
     r = dec.pivot_count
     n = len(axis)

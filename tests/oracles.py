@@ -2,9 +2,13 @@
 
 These deliberately avoid the library's own algorithms: free reduction is a
 scan-until-fixpoint on explicit (letter, sign) pairs, matrix products are
-schoolbook sums over row lists, determinants use cofactor expansion, Smith factors come from gcds of minors, group
-isomorphy is decided by exhaustive backtracking search over bijections, and
-heap axioms and heap morphisms are checked on every tuple of elements.
+schoolbook sums over row lists, determinants use cofactor expansion, Smith
+factors come from gcds of minors, group isomorphy is decided by exhaustive
+backtracking search over bijections, and heap axioms and heap morphisms are
+checked on every tuple of elements.  The one exception is
+``smith_with_transforms``: the library's Smith elimination as it was with
+both transforms built eagerly, which pins the lazily built row transform
+and the class coordinates read off the column transform.
 """
 
 from __future__ import annotations
@@ -172,3 +176,80 @@ def triple_morphism_failure(mapping, source_carrier, source_table, target_table)
         if mapping[source_table[(x, y, z)]] != target_table[(mapping[x], mapping[y], mapping[z])]:
             return (x, y, z)
     return None
+
+
+def smith_with_transforms(rows, cols):
+    """(diagonal, left, right) of the Smith elimination, both transforms built as it runs.
+
+    A copy of the library's elimination from before ``left`` was built on
+    demand: every row operation is applied to ``left`` at once.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_sub(target, source, q):
+        for j in range(len(target)):
+            target[j] -= q * source[j]
+
+    def col_sub(mat, j, t, q):
+        for row in mat:
+            row[j] -= q * row[t]
+
+    def col_swap(mat, j, t):
+        for row in mat:
+            row[j], row[t] = row[t], row[j]
+
+    t = 0
+    bound = min(m, cols)
+    while t < bound:
+        pos = [(i, j) for i in range(t, m) for j in range(t, cols) if a[i][j]]
+        if not pos:
+            break
+        i0, j0 = min(pos, key=lambda ij: (abs(a[ij[0]][ij[1]]), ij))
+        if i0 != t:
+            a[t], a[i0] = a[i0], a[t]
+            u[t], u[i0] = u[i0], u[t]
+        if j0 != t:
+            col_swap(a, j0, t)
+            col_swap(v, j0, t)
+        while True:
+            for i in range(m):
+                if i != t and a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        row_sub(a[i], a[t], q)
+                        row_sub(u[i], u[t], q)
+            col_nz = [i for i in range(m) if i != t and a[i][t]]
+            if col_nz:
+                i = min(col_nz, key=lambda i: abs(a[i][t]))
+                a[t], a[i] = a[i], a[t]
+                u[t], u[i] = u[i], u[t]
+                continue
+            for j in range(cols):
+                if j != t and a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        col_sub(a, j, t, q)
+                        col_sub(v, j, t, q)
+            row_nz = [j for j in range(cols) if j != t and a[t][j]]
+            if row_nz:
+                j = min(row_nz, key=lambda j: abs(a[t][j]))
+                col_swap(a, j, t)
+                col_swap(v, j, t)
+                continue
+            d = a[t][t]
+            bad = next(
+                ((i, j) for i in range(t + 1, m) for j in range(t + 1, cols) if a[i][j] % d),
+                None,
+            )
+            if bad is None:
+                break
+            row_sub(a[t], a[bad[0]], -1)
+            row_sub(u[t], u[bad[0]], -1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return tuple(a[i][i] for i in range(bound)), u, v

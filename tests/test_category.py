@@ -15,14 +15,20 @@ from k0heap.category import (
     split_presentation,
     truss_table,
     validate_spec,
+    zero_law_violations,
 )
-from k0heap.dsl import print_spec
+from k0heap.dsl import SpecSource, parse_spec, print_spec
 from k0heap.instances import finite_sets_spec, vect_spec
 from k0heap.presentation import (
     AbelianHeapPresentation,
+    AffineWord,
     RelationVector,
     in_relation_lattice,
+    normalize_affine,
+    retract_group_structure,
+    word_equal,
 )
+from oracles import smith_with_transforms
 
 
 def entry(apex, left, right, result, lm=True, rm=False):
@@ -260,3 +266,51 @@ def test_spec_tables_are_frozen_copies():
     assert f.object_map["1"] == "1"
     with pytest.raises(TypeError):
         f.object_map["1"] = "2"
+
+
+def test_zero_law_violations_lists_breaking_entries_in_table_order():
+    sums = {("0", "A"): "A", ("0", "B"): "A", ("A", "B"): "B", ("B", "0"): "A", ("A", "0"): "A"}
+    assert zero_law_violations("0", sums) == [("0", "B", "A"), ("B", "0", "A")]
+    assert zero_law_violations(None, sums) == []
+    s = CategorySpec(objects=("0", "A", "B"), pushouts=(), zero="0", sums=sums)
+    zero_errors = [i.message for i in validate_spec(s) if "zero-object law" in i.message]
+    assert zero_errors == [
+        "sum 0 + B = A breaks the zero-object law",
+        "sum B + 0 = A breaks the zero-object law",
+    ]
+
+
+def eager_class_coordinates(p, base):
+    """Each generator's class coordinates from the eager Smith form of every relation."""
+    axis = [g for g in p.generators if g != base]
+    rows = [[r.coefficient(g) for g in axis] for r in p.relations]
+    diagonal, _, right = smith_with_transforms(rows, len(axis))
+    rank = sum(1 for d in diagonal if d)
+    coords = {}
+    for g in p.generators:
+        image = right[axis.index(g)] if g != base else [0] * len(axis)
+        coords[g] = tuple(image[rank:]) + tuple(image[j] % d for j, d in enumerate(diagonal) if d > 1)
+    return coords
+
+
+def test_class_coordinates_match_eager_smith_on_valid_corpus(data_dir):
+    for path in sorted((data_dir / "valid").glob("*.cat")):
+        p = k0_presentation(parse_spec(SpecSource(path.read_text(), path.name)).spec)
+        for base in p.generators:
+            gs = retract_group_structure(p, base)
+            expected = eager_class_coordinates(p, base)
+            got = {g: gs.class_coordinates(AffineWord.generator(g)) for g in p.generators}
+            assert got == expected, f"{path.name} at base {base}"
+
+
+def test_set32_equality_and_retract_group():
+    """5,456 relations of rank 31: no rows x rows transform is built (no timing assert)."""
+    p = k0_presentation(finite_sets_spec(32))
+    assert len(p.relations) == 5456
+    gen = AffineWord.generator
+    assert word_equal(p, normalize_affine(["20", "7", "19"]), gen("32"))
+    assert not word_equal(p, gen("31"), gen("32"))
+    gs = retract_group_structure(p, "empty")
+    assert gs.invariants.rank == 1 and gs.invariants.torsion == ()
+    coords = [gs.class_coordinates(gen(str(k)))[0] for k in (1, 2, 32)]
+    assert coords in ([1, 2, 32], [-1, -2, -32])

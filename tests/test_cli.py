@@ -233,13 +233,13 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def run_module(*argv):
-    """Run ``python -m k0heap.cli`` on this checkout's sources."""
+def run_module(*argv, module="k0heap.cli"):
+    """Run ``python -m MODULE`` on this checkout's sources."""
     src = str(Path(k0heap.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run(
-        [sys.executable, "-m", "k0heap.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -253,3 +253,12 @@ def test_module_entry_point_runs_the_cli(data_dir):
     good = run_module("present", str(data_dir / "valid" / "torsion.cat"), "--format", "structured")
     assert good.returncode == 0
     assert good.stdout == (data_dir / "golden" / "present_torsion.txt").read_text()
+
+
+def test_package_entry_point_runs_the_cli(data_dir):
+    bad = data_dir / "malformed" / "zero_violation_twice.cat"
+    proc = run_module("present", str(bad), module="k0heap")
+    assert proc.returncode == 2
+    assert f"{bad}:9:1: error: sum 0 + A = B breaks the zero-object law" in proc.stderr
+    assert f"{bad}:11:3: error: sum B + 0 = A breaks the zero-object law" in proc.stderr
+    assert proc.stdout == ""

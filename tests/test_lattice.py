@@ -13,7 +13,7 @@ from k0heap.lattice import (
     smith_decomposition,
     snf,
 )
-from oracles import det_cofactor, matmul, snf_oracle
+from oracles import det_cofactor, matmul, smith_with_transforms, snf_oracle
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -153,6 +153,27 @@ def test_smith_decomposition_transforms(rows):
             assert x == expected
     assert abs(det_cofactor(dec.left.to_rows())) == 1
     assert abs(det_cofactor(dec.right.to_rows())) == 1
+
+
+@st.composite
+def tall_matrices(draw):
+    cols = draw(st.integers(min_value=1, max_value=4))
+    cell = st.one_of(entries, st.integers(min_value=-60, max_value=60))
+    rows = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), max_size=4 * cols + 3))
+    return cols, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_matrices())
+def test_smith_decomposition_matches_eager_elimination(shape):
+    cols, rows = shape
+    dec = smith_decomposition(IntMatrix.from_rows(rows, cols=cols))
+    assert "left" not in vars(dec)  # the row transform is not built until it is read
+    diagonal, left, right = smith_with_transforms(rows, cols)
+    assert dec.diagonal == diagonal
+    assert dec.right.to_rows() == right
+    assert dec.left.to_rows() == left
+    assert dec.left is dec.left
 
 
 def test_member_of_every_row_randomized():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k0heap.lattice import IntMatrix, hnf
 from k0heap.presentation import (
     AbelianHeapPresentation,
     combine,
@@ -19,6 +20,7 @@ from k0heap.presentation import (
     retract_group_structure,
     truss_from_table,
     word_equal,
+    _relation_hnf,
 )
 
 GENS = ("e", "a", "b", "c")
@@ -97,6 +99,36 @@ def test_presentation_rejects_unknown_support():
         AbelianHeapPresentation(generators=("x",), relations=(rel(y=1, x=-1),))
     with pytest.raises(ValueError):
         AbelianHeapPresentation(generators=(), relations=())
+
+
+def test_unknown_generator_message_is_shared():
+    with pytest.raises(UnknownGeneratorError, match=r"^unknown generator 'y'$"):
+        AbelianHeapPresentation(generators=("x",), relations=(rel(y=1, x=-1),))
+    free = AbelianHeapPresentation(generators=("x",), relations=())
+    with pytest.raises(UnknownGeneratorError, match=r"^unknown generator 'y'$"):
+        word_equal(free, gen("y"), gen("x"))
+
+
+@st.composite
+def tall_relation_matrices(draw):
+    """More than 2n sum-zero rows over n columns, small and up to 10^6 entries mixed."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    cell = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-10**6, max_value=10**6))
+    rows = draw(st.lists(st.lists(cell, min_size=n - 1, max_size=n - 1), min_size=2 * n + 1, max_size=4 * n + 3))
+    return n, [r + [-sum(r)] for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_relation_matrices())
+def test_blockwise_basis_is_nonzero_rows_of_full_hnf(shape):
+    n, rows = shape
+    generators = tuple(f"g{i}" for i in range(n))
+    relations = tuple(RelationVector.from_coefficients(dict(zip(generators, r))) for r in rows)
+    p = AbelianHeapPresentation(generators=generators, relations=relations)
+    full, _ = hnf(IntMatrix.from_rows(rows, cols=n))
+    basis = _relation_hnf.__wrapped__(p)  # bypass the cache
+    assert basis.cols == n
+    assert basis.to_rows() == [row for row in full.to_rows() if any(row)]
 
 
 def test_word_equal_reflexive_and_relation_driven():
