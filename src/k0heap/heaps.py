@@ -6,7 +6,9 @@ Free heap words embed into the free group as alternating products
 x1 * x2^-1 * x3 * ..., so normal forms are computed by free reduction:
 adjacent letters always carry opposite signs, hence cancel exactly when
 equal.  Finite models carry read-only operation tables, validated on
-construction; a heap table is validated through its retract group.
+construction: a group table in O(n^2 log n), checking associativity on a
+generating set only (Light's test), and a heap table in O(n^3) through its
+retract group.
 
 All values are immutable; every operation is a pure function.
 """
@@ -14,10 +16,12 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 RESERVED_LABEL_CHARS = frozenset("[],#*+=<>:")
+_MISSING = object()  # default of a table lookup; equal to no carrier label
 
 
 def check_label(name: str) -> str:
@@ -141,7 +145,13 @@ def word_from_tree(tree) -> FreeHeapWord:
 
 @dataclass(frozen=True, eq=True)
 class GroupModel:
-    """Finite group as read-only copies of explicit tables, validated in O(n^3)."""
+    """Finite group as read-only copies of explicit tables, validated in O(n^2 log n).
+
+    The tables are read once into carrier indices.  Associativity is Light's
+    test: the g with (x*g)*y = x*(g*y) for all x, y form a submagma, so only
+    each g outside the closure of the ones before it is checked; in a group
+    each such g at least doubles that subgroup, so there are <= log2(n).
+    """
 
     carrier: tuple[str, ...]
     op: Mapping
@@ -150,32 +160,44 @@ class GroupModel:
 
     def __post_init__(self):
         elems = self.carrier
-        if len(set(elems)) != len(elems):
+        index = {x: i for i, x in enumerate(elems)}
+        if len(index) != len(elems):
             raise GroupAxiomError("carrier labels must be distinct")
         if not elems:
             raise GroupAxiomError("a group needs at least the identity element")
-        if self.identity not in elems:
+        if self.identity not in index:
             raise GroupAxiomError(f"identity {self.identity!r} not in carrier")
         object.__setattr__(self, "op", MappingProxyType(dict(self.op)))
         object.__setattr__(self, "inverse", MappingProxyType(dict(self.inverse)))
-        op, inverse = self.op, self.inverse
+        op, inverse, at = self.op, self.inverse, index.get
+        table, inv = [], []  # table[i][j] is the index of elems[i] * elems[j]
         for a in elems:
-            if a not in inverse or inverse[a] not in elems:
+            inv.append(at(inverse.get(a, _MISSING), -1))
+            if inv[-1] < 0:
                 raise GroupAxiomError(f"inverse table not total at {a!r}")
-            for b in elems:
-                if (a, b) not in op or op[(a, b)] not in elems:
-                    raise GroupAxiomError(f"operation table not total at ({a!r}, {b!r})")
-        for a in elems:
-            if op[(self.identity, a)] != a or op[(a, self.identity)] != a:
+            table.append([at(op.get((a, b), _MISSING), -1) for b in elems])
+            if -1 in table[-1]:
+                b = elems[table[-1].index(-1)]
+                raise GroupAxiomError(f"operation table not total at ({a!r}, {b!r})")
+        e = index[self.identity]
+        for i, a in enumerate(elems):
+            if table[e][i] != i or table[i][e] != i:
                 raise GroupAxiomError("identity law fails", witness=(a,))
-            if op[(a, inverse[a])] != self.identity:
+            if table[i][inv[i]] != e:
                 raise GroupAxiomError("inverse law fails", witness=(a,))
-        for a in elems:
-            for b in elems:
-                ab = op[(a, b)]
-                for c in elems:
-                    if op[(ab, c)] != op[(a, op[(b, c)])]:
-                        raise GroupAxiomError("associativity fails", witness=(a, b, c))
+        closure = {e}  # passes Light's test by the identity law
+        for g, row_g in enumerate(table):
+            if g in closure:
+                continue
+            for x, row_x in enumerate(table):
+                left, right = table[row_x[g]], [row_x[z] for z in row_g]
+                if left != right:
+                    y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
+                    raise GroupAxiomError("associativity fails", witness=(elems[x], elems[g], elems[y]))
+            fresh = {g}
+            while fresh:
+                closure |= fresh
+                fresh = {p for z in fresh for w in closure for p in (table[z][w], table[w][z])} - closure
 
 
 @dataclass(frozen=True, eq=True)
@@ -184,8 +206,9 @@ class FiniteHeapModel:
 
     The table is a heap exactly when its retract at e = carrier[0] is a group
     (checked by GroupModel) and [a,b,c] = a * b^-1 * c throughout, for then it
-    is the heap of that group.  An empty carrier is allowed (all axioms hold
-    vacuously), but it has no retracts since there is no basepoint.
+    is the heap of that group.  Each entry is read once; a table that is not
+    total is rejected before any law is checked.  An empty carrier is allowed
+    (all axioms hold vacuously) but has no retracts, having no basepoint.
     """
 
     carrier: tuple[str, ...]
@@ -198,11 +221,10 @@ class FiniteHeapModel:
             raise HeapAxiomError("carrier labels must be distinct")
         t = MappingProxyType(dict(self.ternary))
         object.__setattr__(self, "ternary", t)
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if (a, b, c) not in t or t[(a, b, c)] not in members:
-                        raise HeapAxiomError(f"ternary table not total at ({a!r}, {b!r}, {c!r})")
+        values = [t.get(key, _MISSING) for key in product(elems, repeat=3)]
+        if not members.issuperset(values):
+            key = next(key for key, v in zip(product(elems, repeat=3), values) if v not in members)
+            raise HeapAxiomError(f"ternary table not total at {key}")
         if not elems:
             return
         e = elems[0]
@@ -210,13 +232,10 @@ class FiniteHeapModel:
             g = retract_group(self, e)
         except GroupAxiomError as exc:
             raise HeapAxiomError(f"retract at {e!r}: {exc}", witness=exc.witness) from exc
-        op, inverse = g.op, g.inverse
-        for a in elems:
-            for b in elems:
-                ab_inv = op[(a, inverse[b])]
-                for c in elems:
-                    if t[(a, b, c)] != op[(ab_inv, c)]:
-                        raise HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {e!r}", witness=(a, b, c))
+        expected = _bracket_values(g)
+        if values != expected:
+            key = next(key for key, v, w in zip(product(elems, repeat=3), values, expected) if v != w)
+            raise HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {e!r}", witness=key)
 
 
 def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:
@@ -228,14 +247,16 @@ def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:
     return GroupModel(carrier=h.carrier, op=op, identity=e, inverse=inverse)
 
 
+def _bracket_values(g: GroupModel) -> list:
+    """a * b^-1 * c in product(carrier, repeat=3) order, with a * b^-1 once per (a, b)."""
+    op, inverse, elems = g.op, g.inverse, g.carrier
+    rows = {x: [op[(x, c)] for c in elems] for x in elems}
+    return list(chain.from_iterable(rows[op[(a, inverse[b])]] for a in elems for b in elems))
+
+
 def heap_from_group(g: GroupModel) -> FiniteHeapModel:
     """Heap with bracket [a, b, c] = a * b^-1 * c; retracting at the identity undoes this."""
-    table = {
-        (a, b, c): g.op[(a, g.op[(g.inverse[b], c)])]
-        for a in g.carrier
-        for b in g.carrier
-        for c in g.carrier
-    }
+    table = dict(zip(product(g.carrier, repeat=3), _bracket_values(g)))
     return FiniteHeapModel(carrier=g.carrier, ternary=table)
 
 
@@ -258,10 +279,11 @@ def check_heap_morphism(
     phi(e), phi([x,e,y]) = [phi x, phi e, phi y], with e = ``base`` (which
     also sets ``group_law_ok``) or carrier[0]; a failing (x, e, y) is the witness.
     """
+    targets = set(target.carrier)
     for x in source.carrier:
         if x not in mapping:
             raise ValueError(f"mapping is not total: missing {x!r}")
-        if mapping[x] not in target.carrier:
+        if mapping[x] not in targets:
             raise ValueError(f"mapping sends {x!r} outside the target carrier")
     if base is not None and base not in source.carrier:
         raise ValueError(f"basepoint {base!r} not in source carrier")

@@ -3,7 +3,7 @@
 Infinite categories are truncated to a size bound: objects beyond the bound
 are omitted and so are pushout/sum/product entries whose result would leave
 the range.  Truncation is honest: downstream checks report the omitted
-pairs instead of failing.
+pairs instead of failing.  The bound N is at most ``MAX_BOUND``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,15 @@ from importlib import resources
 
 from .category import CategorySpec, PushoutEntry, pushout_sort_key
 from .presentation import AffineWord, combine
+
+
+MAX_BOUND = 100  # set/vect 100 have 176,851 / 348,551 pushouts; counts grow as N^3
+
+
+def _check_bound(n: int) -> None:
+    """Reject a size bound outside 1..MAX_BOUND before any entry is generated."""
+    if not 1 <= n <= MAX_BOUND:
+        raise ValueError(f"bound must be between 1 and {MAX_BOUND}, got {n}")
 
 
 def set_label(k: int) -> str:
@@ -102,8 +111,7 @@ def finite_sets_spec(n: int) -> CategorySpec:
     sums are disjoint unions with 'empty' as the unit.  There is no zero
     object: this category is unpointed.
     """
-    if n < 1:
-        raise ValueError("bound must be >= 1")
+    _check_bound(n)
     objects = tuple(set_label(k) for k in range(n + 1))
     entries = []
     for b in range(n + 1):
@@ -156,8 +164,7 @@ def vect_spec(n: int) -> CategorySpec:
     a - b + c.  The zero object is '0', sums and products are truncated
     addition and multiplication with unit '1'.
     """
-    if n < 1:
-        raise ValueError("bound must be >= 1")
+    _check_bound(n)
     objects = tuple(str(k) for k in range(n + 1))
     entries = []
     for b in range(n + 1):

@@ -4,8 +4,8 @@ These deliberately avoid the library's own algorithms: free reduction is a
 scan-until-fixpoint on explicit (letter, sign) pairs, matrix products are
 schoolbook sums over row lists, determinants use cofactor expansion, Smith
 factors come from gcds of minors, group isomorphy is decided by exhaustive
-backtracking search over bijections, and heap axioms and heap morphisms are
-checked on every tuple of elements.  The one exception is
+backtracking search over bijections, and group axioms, heap axioms and heap
+morphisms are checked on every tuple of elements.  The one exception is
 ``smith_with_transforms``: the library's Smith elimination as it was with
 both transforms built eagerly, which pins the lazily built row transform
 and the class coordinates read off the column transform.
@@ -149,6 +149,37 @@ def find_isomorphism(g1, g2):
 def random_odd_word(rng, alphabet, max_len):
     length = rng.randrange(1, max_len + 1, 2)
     return tuple(rng.choice(alphabet) for _ in range(length))
+
+
+def group_axiom_failure(carrier, op, identity, inverse):
+    """First group-axiom failure as (message, witness), or None: the O(n^3) loops.
+
+    Checks, in this order, distinct labels, the identity in the carrier,
+    totality of both tables, the identity and inverse laws, and associativity
+    on every triple; the messages and witnesses are those of ``GroupModel``.
+    """
+    members = set(carrier)
+    if len(members) != len(carrier):
+        return ("carrier labels must be distinct", ())
+    if not carrier:
+        return ("a group needs at least the identity element", ())
+    if identity not in members:
+        return (f"identity {identity!r} not in carrier", ())
+    for a in carrier:
+        if a not in inverse or inverse[a] not in members:
+            return (f"inverse table not total at {a!r}", ())
+        for b in carrier:
+            if (a, b) not in op or op[(a, b)] not in members:
+                return (f"operation table not total at ({a!r}, {b!r})", ())
+    for a in carrier:
+        if op[(identity, a)] != a or op[(a, identity)] != a:
+            return ("identity law fails", (a,))
+        if op[(a, inverse[a])] != identity:
+            return ("inverse law fails", (a,))
+    for a, b, c in itertools.product(carrier, repeat=3):
+        if op[(op[(a, b)], c)] != op[(a, op[(b, c)])]:
+            return ("associativity fails", (a, b, c))
+    return None
 
 
 def heap_axiom_failure(carrier, table):

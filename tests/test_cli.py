@@ -177,6 +177,14 @@ def test_demo_requires_argument(capsys):
     capsys.readouterr()
 
 
+def test_demo_bound_beyond_the_maximum_is_input_error(capsys):
+    for kind in ("set", "vect", "swindle"):
+        assert run_cli(["demo", kind, str(10**9)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bound must be between 1 and" in captured.err
+
+
 def test_demo_cw_boundary_convention(data_dir, capsys):
     path = str(data_dir / "cw_example.txt")
     assert run_cli(["demo", "cw", path, "--convention", "boundary"]) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from k0heap.category import compare_projection, k0_group, k0_presentation, split_presentation
 from k0heap.instances import (
+    MAX_BOUND,
     CWComplexSpec,
     FiniteSetSpan,
     bounded_abelian_groups_file,
@@ -204,3 +205,12 @@ def test_generator_entries_cross_validated():
         sizes = {label: (0 if label == "empty" else int(label)) for label in s.objects}
         a, b, c, d = sizes[e.left], sizes[e.apex], sizes[e.right], sizes[e.result]
         assert a - b + c == d
+
+
+def test_generators_reject_bounds_outside_the_documented_range():
+    # the guard runs before any entry exists, so N = 10**9 costs one comparison
+    assert MAX_BOUND >= 64  # `demo set 64` stays available
+    for generate in (finite_sets_spec, vect_spec, swindle_spec):
+        for n in (0, -5, MAX_BOUND + 1, 10**9):
+            with pytest.raises(ValueError, match=f"bound must be between 1 and {MAX_BOUND}, got {n}"):
+                generate(n)

@@ -15,7 +15,12 @@ from k0heap.heaps import (
     klein_four_group,
     retract_group,
 )
-from oracles import find_isomorphism, heap_axiom_failure, triple_morphism_failure
+from oracles import (
+    find_isomorphism,
+    group_axiom_failure,
+    heap_axiom_failure,
+    triple_morphism_failure,
+)
 
 
 def mod_heap(n):
@@ -124,6 +129,12 @@ def test_partial_map_rejected():
         check_heap_morphism({"0": "0"}, h, h)
 
 
+def test_map_outside_the_target_carrier_rejected():
+    h = mod_heap(2)
+    with pytest.raises(ValueError, match="sends '1' outside the target carrier"):
+        check_heap_morphism({"0": "0", "1": "7"}, h, h)
+
+
 def test_order_64_heap_validates():
     g = cyclic_group(64)
     h = heap_from_group(g)
@@ -154,31 +165,28 @@ def test_models_keep_a_frozen_copy_of_their_tables():
 
 # ---------------------------------------------------------------- differential
 #
-# The retract-based validators against the exhaustive oracles: heaps of
-# Z/n (n <= 6), Klein four and S3, single-entry perturbations of them, and
-# random tables of order <= 3.
+# The validators against the exhaustive oracles.  Heaps: Z/n (n <= 6), Klein
+# four and S3, single-entry perturbations of them, and random tables of order
+# <= 3.  Groups: Z/n (n <= 8), Klein four, S3 and D4 with shuffled carriers,
+# single-entry perturbations of them, and random order <= 5 tables with an
+# identity and inverses, among them a non-associative loop of order 5.
 
 
-def group_heap_table(elems, mul, inv):
-    """[a,b,c] = a * b^-1 * c from plain Python callables."""
-    return {(a, b, c): mul(mul(a, inv(b)), c) for a, b, c in itertools.product(elems, repeat=3)}
-
-
-def zmod_table(n):
+def zmod(n):
+    """Z/n as (carrier, multiplication, inverse), the identity first."""
     elems = tuple(str(i) for i in range(n))
-    return elems, group_heap_table(
-        elems, lambda x, y: str((int(x) + int(y)) % n), lambda x: str(-int(x) % n)
+    return elems, lambda x, y: str((int(x) + int(y)) % n), lambda x: str(-int(x) % n)
+
+
+def klein():
+    return (
+        ("00", "01", "10", "11"),
+        lambda x, y: f"{int(x[0]) ^ int(y[0])}{int(x[1]) ^ int(y[1])}",
+        lambda x: x,
     )
 
 
-def klein_table():
-    elems = ("00", "01", "10", "11")
-    return elems, group_heap_table(
-        elems, lambda x, y: f"{int(x[0]) ^ int(y[0])}{int(x[1]) ^ int(y[1])}", lambda x: x
-    )
-
-
-def s3_table():
+def s3():
     """S3 as permutations of (0, 1, 2), labelled by their one-line images."""
     perms = list(itertools.permutations(range(3)))
     label = {p: "".join(map(str, p)) for p in perms}
@@ -195,10 +203,39 @@ def s3_table():
             out[j] = i
         return label[tuple(out)]
 
-    return tuple(label[p] for p in perms), group_heap_table(tuple(label.values()), mul, inv)
+    return tuple(label[p] for p in perms), mul, inv
 
 
-GROUP_HEAPS = [zmod_table(n) for n in range(1, 7)] + [klein_table(), s3_table()]
+def d4():
+    """The dihedral group of order 8: r^k s^f labelled 'r0'..'r3', 's0'..'s3', with s r = r^-1 s."""
+    elems = tuple(f"{f}{k}" for f in "rs" for k in range(4))
+
+    def mul(x, y):  # r^j s^f * r^k s^g = r^(j +- k) s^(f + g)
+        k = (int(x[1]) + (-1 if x[0] == "s" else 1) * int(y[1])) % 4
+        return f"{'rs'[(x[0] == 's') != (y[0] == 's')]}{k}"
+
+    def inv(x):
+        return x if x[0] == "s" else f"r{-int(x[1]) % 4}"
+
+    return elems, mul, inv
+
+
+SMALL_GROUPS = [zmod(n) for n in range(1, 9)] + [klein(), s3(), d4()]
+
+
+def group_heap_table(elems, mul, inv):
+    """[a,b,c] = a * b^-1 * c from plain Python callables."""
+    return {(a, b, c): mul(mul(a, inv(b)), c) for a, b, c in itertools.product(elems, repeat=3)}
+
+
+def zmod_table(n):
+    elems, mul, inv = zmod(n)
+    return elems, group_heap_table(elems, mul, inv)
+
+
+GROUP_HEAPS = [
+    (elems, group_heap_table(elems, mul, inv)) for elems, mul, inv in SMALL_GROUPS if len(elems) <= 6
+]
 
 
 @st.composite
@@ -320,3 +357,170 @@ def test_morphism_rejects_unknown_base():
     h = mod_heap(2)
     with pytest.raises(ValueError):
         check_heap_morphism({"0": "0", "1": "1"}, h, h, base="7")
+
+
+def test_non_total_heap_table_is_rejected_before_any_law():
+    elems, table = zmod_table(3)
+    broken = dict(table)
+    broken[("0", "0", "1")] = "2"  # the retract at '0' would then fail the identity law
+    del broken[("2", "2", "1")]
+    with pytest.raises(HeapAxiomError, match=r"ternary table not total at \('2', '2', '1'\)"):
+        FiniteHeapModel(carrier=elems, ternary=broken)
+    broken[("2", "2", "1")] = "7"
+    with pytest.raises(HeapAxiomError, match=r"ternary table not total at \('2', '2', '1'\)"):
+        FiniteHeapModel(carrier=elems, ternary=broken)
+
+
+def group_model_args(elems, mul, inv):
+    """(carrier, op, identity, inverse) of a group given by callables, identity first."""
+    op = {(a, b): mul(a, b) for a in elems for b in elems}
+    return elems, op, elems[0], {a: inv(a) for a in elems}
+
+
+NONASSOCIATIVE_LOOP = (
+    tuple("01234"),
+    {
+        (str(a), str(b)): row[b]
+        for a, row in enumerate(["01234", "10342", "24013", "32401", "43120"])
+        for b in range(5)
+    },
+    "0",
+    {str(a): str(a) for a in range(5)},
+)
+GROUP_ARGS = [group_model_args(*g) for g in SMALL_GROUPS]
+
+
+@st.composite
+def shuffled_groups(draw):
+    carrier, op, identity, inverse = draw(st.sampled_from(GROUP_ARGS))
+    return tuple(draw(st.permutations(carrier))), op, identity, inverse
+
+
+@st.composite
+def perturbed_groups(draw):
+    """One entry changed: a product, an inverse (to a label, an outsider or nothing), or the identity."""
+    carrier, op, identity, inverse = draw(shuffled_groups())
+    op, inverse = dict(op), dict(inverse)
+    kind = draw(st.sampled_from(["op", "inverse", "identity"]))
+    if kind == "identity":
+        return carrier, op, draw(st.sampled_from(carrier)), inverse
+    table = op if kind == "op" else inverse
+    key = draw(st.sampled_from(sorted(table)))
+    value = draw(st.sampled_from(carrier + ("?", None)))
+    if value is None:
+        del table[key]
+    else:
+        table[key] = value
+    return carrier, op, identity, inverse
+
+
+@st.composite
+def unital_tables(draw):
+    """Random tables of order <= 5 with identity 'a' and an inverse for each element."""
+    elems = tuple("abcde"[: draw(st.integers(min_value=1, max_value=5))])
+    inverse = {"a": "a", **{x: draw(st.sampled_from(elems[1:])) for x in elems[1:]}}
+    op = {}
+    for x, y in itertools.product(elems, repeat=2):
+        if "a" in (x, y):
+            op[(x, y)] = y if x == "a" else x
+        else:
+            op[(x, y)] = "a" if y == inverse[x] else draw(st.sampled_from(elems))
+    return tuple(draw(st.permutations(elems))), op, "a", inverse
+
+
+@st.composite
+def shuffled_loop(draw):
+    carrier, op, identity, inverse = NONASSOCIATIVE_LOOP
+    return tuple(draw(st.permutations(carrier))), op, identity, inverse
+
+
+def group_witness_fails(op, identity, inverse, exc):
+    """The rejection's witness fails the law its message names."""
+    w, message = exc.witness, str(exc)
+    if message == "identity law fails":
+        (a,) = w
+        return op[(identity, a)] != a or op[(a, identity)] != a
+    if message == "inverse law fails":
+        (a,) = w
+        return op[(a, inverse[a])] != identity
+    if message == "associativity fails":
+        a, b, c = w
+        return op[(op[(a, b)], c)] != op[(a, op[(b, c)])]
+    return w == ()
+
+
+def check_group_against_oracle(carrier, op, identity, inverse):
+    """GroupModel accepts exactly when the exhaustive search finds nothing.
+
+    Rejections carry the oracle's message and witness, except that the
+    associativity witness may be any failing triple.
+    """
+    failure = group_axiom_failure(carrier, op, identity, inverse)
+    try:
+        GroupModel(carrier=carrier, op=op, identity=identity, inverse=inverse)
+    except GroupAxiomError as exc:
+        assert failure is not None, f"valid group rejected: {exc}"
+        assert group_witness_fails(op, identity, inverse, exc), exc
+        if failure[0] == "associativity fails":
+            assert str(exc) == failure[0]
+        else:
+            assert (str(exc), exc.witness) == failure
+    else:
+        assert failure is None, f"invalid group accepted: {failure}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(shuffled_groups(), perturbed_groups(), unital_tables(), shuffled_loop()))
+def test_group_validation_agrees_with_exhaustive_search(case):
+    check_group_against_oracle(*case)
+
+
+def test_small_groups_and_the_loop_are_classified():
+    for carrier, op, identity, inverse in GROUP_ARGS:
+        assert group_axiom_failure(carrier, op, identity, inverse) is None
+        GroupModel(carrier=carrier, op=op, identity=identity, inverse=inverse)
+    assert group_axiom_failure(*NONASSOCIATIVE_LOOP)[0] == "associativity fails"
+    with pytest.raises(GroupAxiomError, match="associativity fails"):
+        GroupModel(*NONASSOCIATIVE_LOOP)
+
+
+def test_associativity_failure_outside_the_first_generated_subgroup():
+    """{a, b} is a subgroup that passes Light's test; only the next generator, c, fails it."""
+    rows = {"a": "abc", "b": "bac", "c": "cca"}
+    op = {(x, y): rows[x]["abc".index(y)] for x in "abc" for y in "abc"}
+    inverse = {x: x for x in "abc"}
+    with pytest.raises(GroupAxiomError, match="associativity fails") as exc:
+        GroupModel(carrier=("a", "b", "c"), op=op, identity="a", inverse=inverse)
+    assert exc.value.witness[1] == "c"
+    assert group_witness_fails(op, "a", inverse, exc.value)
+
+
+def test_every_single_product_change_of_d4_and_s3_is_rejected():
+    for elems, mul, inv in (d4(), s3()):
+        carrier, op, identity, inverse = group_model_args(elems, mul, inv)
+        for order in (carrier, carrier[::-1]):
+            for key, right in op.items():
+                for wrong in carrier:
+                    if wrong != right:
+                        changed = {**op, key: wrong}
+                        assert group_axiom_failure(order, changed, identity, inverse) is not None
+                        check_group_against_oracle(order, changed, identity, inverse)
+
+
+def elementary_abelian_256():
+    """(Z/2)^8 as 8-bit strings under xor: Light's test needs all eight generators."""
+    elems = tuple(format(i, "08b") for i in range(256))
+    op = {(a, b): format(int(a, 2) ^ int(b, 2), "08b") for a in elems for b in elems}
+    return elems, op, elems[0], {a: a for a in elems}
+
+
+@pytest.mark.parametrize("make", [lambda: group_model_args(*zmod(256)), elementary_abelian_256])
+def test_order_256_groups_validate_and_reject_one_changed_product(make):
+    carrier, op, identity, inverse = make()
+    group = GroupModel(carrier=carrier, op=op, identity=identity, inverse=inverse)
+    assert len(group.op) == 256**2
+    key = (carrier[-1], carrier[-2])
+    changed = {**op, key: identity}  # still unital with inverses: only associativity breaks
+    with pytest.raises(GroupAxiomError, match="associativity fails") as exc:
+        GroupModel(carrier=carrier, op=changed, identity=identity, inverse=inverse)
+    assert group_witness_fails(changed, identity, inverse, exc.value)
