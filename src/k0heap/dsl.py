@@ -12,8 +12,9 @@ binds to no token):
 
 Parsing never falls back to silent defaults: every problem becomes a
 positioned diagnostic (1-based line and column of the first offending
-token).  A parse with zero errors yields a spec that passes validate_spec;
-entries without a monomorphic leg are kept but flagged with a warning.
+token; lines end at LF, CRLF or CR).  A parse with zero errors yields a
+spec that passes validate_spec; entries without a monomorphic leg are kept
+but flagged with a warning.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ class _Parser:
         self.diagnostics.append(Diagnostic("warning", line, col, message))
 
     def run(self) -> ParseResult:
-        for lineno, raw in enumerate(self.src.text.splitlines(), start=1):
+        # lines end at LF, CRLF or CR only: unlike str.splitlines, \f, \x1e,
+        # \u2028 ... stay inside a line, as they do for an editor's line count
+        lines = self.src.text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for lineno, raw in enumerate(lines, start=1):
             code = raw.split("#", 1)[0]
             tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
             if not tokens:

@@ -256,8 +256,11 @@ def _bracket_values(g: GroupModel) -> list:
 
 def heap_from_group(g: GroupModel) -> FiniteHeapModel:
     """Heap with bracket [a, b, c] = a * b^-1 * c; retracting at the identity undoes this."""
+    heap = object.__new__(FiniteHeapModel)  # a validated group's heap is a heap: skip __post_init__
+    object.__setattr__(heap, "carrier", g.carrier)
     table = dict(zip(product(g.carrier, repeat=3), _bracket_values(g)))
-    return FiniteHeapModel(carrier=g.carrier, ternary=table)
+    object.__setattr__(heap, "ternary", MappingProxyType(table))
+    return heap
 
 
 @dataclass(frozen=True)

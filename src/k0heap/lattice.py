@@ -206,77 +206,84 @@ def residue(h: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _col_sub(a: list[list[int]], j: int, t: int, q: int) -> None:
-    for row in a:
-        row[j] -= q * row[t]
-
-
-def _col_swap(a: list[list[int]], j: int, t: int) -> None:
-    for row in a:
-        row[j], row[t] = row[t], row[j]
-
-
 def _smith_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> None:
     """Diagonalize ``a`` in place, mirroring row ops on ``u`` and column ops on ``v``.
 
     Every choice depends on ``a`` alone, so empty rows in ``u`` make each
-    mirrored row operation free without changing ``a`` or ``v``.
+    mirrored row operation free without changing ``a`` or ``v``.  The pivot
+    is the first entry of least absolute value in (row, column) order.  At
+    step t every row and column before t is zero off the diagonal, so row
+    operations on ``a`` touch the pivot row's support from t on, column
+    operations touch only row t of ``a`` once column t is clear, and step t
+    visits only the ``live`` rows: t and the rows after it that were nonzero
+    when the step began, in order.  A zero row is never chosen, subtracted
+    from or divided into, so skipping it changes no choice.
     """
     rows, cols = len(a), len(v)
-    t = 0
-    bound = min(rows, cols)
-    while t < bound:
-        pos = [(i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
-        if not pos:
+    live = [i for i in range(rows) if any(a[i])]
+    for t in range(min(rows, cols)):
+        nonzero = ((abs(a[i][j]), i, j) for i in live for j in range(t, cols) if a[i][j])
+        least = next(nonzero, None)
+        if least is None:
             break
-        i0, j0 = min(pos, key=lambda ij: (abs(a[ij[0]][ij[1]]), ij))
+        for entry in nonzero:  # nothing beats a 1, so stop at the first
+            if least[0] == 1:
+                break
+            if entry[0] < least[0]:
+                least = entry
+        _, i0, j0 = least
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
             u[t], u[i0] = u[i0], u[t]
+            if live[0] != t:  # row t was zero and now sits at i0
+                live = [t] + [i for i in live if i != i0]
         if j0 != t:
-            _col_swap(a, j0, t)
-            _col_swap(v, j0, t)
+            for row in [a[i] for i in live] + v:
+                row[j0], row[t] = row[t], row[j0]
         while True:
             # clear column t with row operations
-            for i in range(rows):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
+            pivot, p, col_nz = a[t], a[t][t], []
+            support = [j for j in range(t, cols) if pivot[j]]
+            for i in live:
+                row = a[i]
+                if row[t] and i != t:
+                    q = row[t] // p
                     if q:
-                        _row_sub(a[i], a[t], q)
+                        for j in support:
+                            row[j] -= q * pivot[j]
                         _row_sub(u[i], u[t], q)
-            col_nz = [i for i in range(rows) if i != t and a[i][t]]
+                    if row[t]:
+                        col_nz.append(i)
             if col_nz:
                 i = min(col_nz, key=lambda i: abs(a[i][t]))
                 a[t], a[i] = a[i], a[t]
                 u[t], u[i] = u[i], u[t]
                 continue
-            # clear row t with column operations
-            for j in range(cols):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        _col_sub(a, j, t, q)
-                        _col_sub(v, j, t, q)
-            row_nz = [j for j in range(cols) if j != t and a[t][j]]
+            # clear row t with column operations; column t is zero off row t
+            for j in range(t + 1, cols):
+                q = pivot[j] // p
+                if q:
+                    pivot[j] -= q * p
+                    for row in v:
+                        row[j] -= q * row[t]
+            row_nz = [j for j in range(t + 1, cols) if pivot[j]]
             if row_nz:
-                j = min(row_nz, key=lambda j: abs(a[t][j]))
-                _col_swap(a, j, t)
-                _col_swap(v, j, t)
+                j = min(row_nz, key=lambda j: abs(pivot[j]))
+                for row in [a[i] for i in live] + v:
+                    row[j], row[t] = row[t], row[j]
                 continue
             # pivot must divide the remaining submatrix for the chain property
-            d = a[t][t]
-            bad = next(
-                ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % d),
-                None,
-            )
+            if abs(p) == 1:
+                break
+            bad = next((i for i in live[1:] for j in range(t + 1, cols) if a[i][j] % p), None)
             if bad is None:
                 break
-            _row_sub(a[t], a[bad[0]], -1)
-            _row_sub(u[t], u[bad[0]], -1)
+            _row_sub(pivot, a[bad], -1)
+            _row_sub(u[t], u[bad], -1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
-        t += 1
+        live = [i for i in live[1:] if any(a[i])]
 
 
 def smith_decomposition(m: IntMatrix) -> SmithDecomposition:

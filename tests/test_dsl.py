@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k0heap.category import CategorySpec, k0_presentation, validate_spec
 from k0heap.dsl import (
@@ -179,3 +181,76 @@ def test_bracket_label_reports_check_label_message(ch):
         parse_bracket_word(f"[a, {token} ,b]")
     assert exc.value.column == 5
     assert str(exc.value) == f"column 5: {label_message(token)}"
+
+
+# ---------------------------------------------------------------- fuzzing
+#
+# Spec texts over a small label pool, joined with LF, CRLF or CR line endings.
+# A clean text declares every label of a pool of valid ones (ASCII and not),
+# at most one zero and unit, and pushout and table lines, so it is often
+# accepted; any other text also mixes in labels with reserved characters,
+# repeated declarations, token soup and arbitrary text.
+
+LABELS = ("A", "B", "empty", "0", "ω", "Zé", "日本", "object")
+BAD_LABELS = ("x:y", "a[b", "p+q", "r>s")
+PUNCTUATION = ("->", "=>", ",", "[mono]", "+", "*", "=", "#", "[", "]", ":", "<", ">", " ", "\t")
+DIRECTIVES = ("object", "zero", "unit", "pushout", "sum", "product", "objects", "Object")
+
+SLOT = st.integers(min_value=0, max_value=3)  # a label, as an index into the spec's pool
+MONO = st.sampled_from(("", " [mono]"))
+PUSHOUT_LINE = st.tuples(SLOT, SLOT, MONO, SLOT, MONO, SLOT).map(
+    lambda t: ("pushout ", t[0], " -> ", t[1], t[2], ", ", t[0], " -> ", t[3], t[4], " => ", t[5])
+)
+TABLE_LINE = st.tuples(
+    st.sampled_from(("sum ", "product ")), SLOT, st.sampled_from((" + ", " * ")), SLOT, st.just(" = "), SLOT
+)
+DIRECTIVE_LINE = st.one_of(
+    st.tuples(st.sampled_from(("object ", "zero ", "unit ")), SLOT),
+    PUSHOUT_LINE,
+    st.tuples(
+        st.just("pushout "), SLOT, st.just(" -> "), SLOT, MONO,
+        st.sampled_from((", ", ",")), SLOT, st.just(" -> "), SLOT, MONO, st.just(" => "), SLOT,
+    ),
+    TABLE_LINE,
+)
+JUNK_LINE = st.one_of(
+    st.lists(st.one_of(SLOT, st.sampled_from(DIRECTIVES + PUNCTUATION)), max_size=8).map(
+        lambda parts: tuple(x for part in parts for x in (part, " "))
+    ),
+    st.text(max_size=20).map(lambda text: (text,)),
+)
+
+
+def spec_line(body):
+    return st.tuples(st.sampled_from(("", " ", "\t")), body, st.sampled_from(("", "  # note", "#", " # ω ->")))
+
+
+@st.composite
+def spec_texts(draw):
+    clean = draw(st.booleans())
+    pool = draw(st.lists(st.sampled_from(LABELS if clean else LABELS + BAD_LABELS), min_size=1, max_size=4, unique=True))
+    lines = [f"object {x}" for x in pool if clean or draw(st.booleans())]
+    if clean:
+        lines += [f"{kind} {draw(st.sampled_from(pool))}" for kind in ("zero", "unit") if draw(st.booleans())]
+    body = st.one_of(PUSHOUT_LINE, TABLE_LINE) if clean else st.one_of(DIRECTIVE_LINE, JUNK_LINE)
+    for indent, parts, comment in draw(st.lists(spec_line(body), min_size=clean, max_size=12)):
+        lines.append(indent + "".join(pool[x % len(pool)] if isinstance(x, int) else x for x in parts) + comment)
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return ending.join(draw(st.permutations(lines))) + draw(st.sampled_from(("", ending)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec_texts())
+def test_fuzzed_specs_end_in_positioned_diagnostics_or_a_round_trip(text):
+    result = parse_text(text)
+    lines = re.split(r"\r\n|\r|\n", text)
+    for d in result.diagnostics:
+        assert d.severity in ("error", "warning")
+        assert 1 <= d.line <= len(lines), d
+        assert 1 <= d.column <= len(lines[d.line - 1]) + 1, d
+    assert result.ok == (not any(d.severity == "error" for d in result.diagnostics))
+    if result.ok:
+        printed = print_spec(result.spec)
+        again = parse_text(printed)
+        assert again.spec == result.spec
+        assert print_spec(again.spec) == printed

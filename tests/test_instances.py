@@ -197,14 +197,29 @@ def test_parse_cell_counts():
         parse_cell_counts("1\nx\n")
 
 
-def test_generator_entries_cross_validated():
-    # finite_sets_spec validates every entry against the union-find oracle;
-    # reaching here without AssertionError is the point, but double-check a few
-    s = finite_sets_spec(5)
-    for e in list(s.pushouts)[:20]:
-        sizes = {label: (0 if label == "empty" else int(label)) for label in s.objects}
-        a, b, c, d = sizes[e.left], sizes[e.apex], sizes[e.right], sizes[e.result]
-        assert a - b + c == d
+def test_set_entries_are_the_bounded_triples_with_concrete_pushout_sizes():
+    # finite_sets_spec writes |A| - |B| + |C| down directly; build each square
+    # as a concrete span (legs not the first-b inclusions) and glue it here
+    for n in range(1, 13):
+        s = finite_sets_spec(n)
+        size = {set_label(k): k for k in range(n + 1)}
+        triples = [(size[e.left], size[e.apex], size[e.right]) for e in s.pushouts]
+        expected = [
+            (a, b, c)
+            for a, b, c in itertools.product(range(n + 1), repeat=3)
+            if b <= min(a, c) and a - b + c <= n
+        ]
+        assert sorted(triples) == expected
+        for e, (a, b, c) in zip(s.pushouts, triples):
+            assert e.left_mono and e.right_mono
+            span = FiniteSetSpan(
+                size_a=a,
+                size_b=b,
+                size_c=c,
+                injection=tuple(range(a - b, a)),
+                attach=tuple(reversed(range(b))),
+            )
+            assert set_pushout(span).size == size[e.result]
 
 
 def test_generators_reject_bounds_outside_the_documented_range():

@@ -176,6 +176,32 @@ def test_smith_decomposition_matches_eager_elimination(shape):
     assert dec.left is dec.left
 
 
+@st.composite
+def tied_matrices(draw):
+    """Tall matrices dense in 0 and +-1, with duplicate rows and zero rows.
+
+    Ties in |entry| are everywhere, so every pivot choice rests on the
+    (row, column) tie-break; the rare 2s and 3s reach the divisibility fix.
+    """
+    cols = draw(st.integers(min_value=1, max_value=6))
+    cell = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3))
+    distinct = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=cols + 2))
+    distinct.append([0] * cols)
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=cols + 1, max_size=4 * cols + 4))
+    return cols, [list(distinct[k]) for k in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_matrices())
+def test_smith_with_many_ties_matches_eager_elimination(shape):
+    cols, rows = shape
+    dec = smith_decomposition(IntMatrix.from_rows(rows, cols=cols))
+    diagonal, left, right = smith_with_transforms(rows, cols)
+    assert dec.diagonal == diagonal
+    assert dec.right.to_rows() == right
+    assert dec.left.to_rows() == left
+
+
 def test_member_of_every_row_randomized():
     rng = random.Random(7)
     for _ in range(50):

@@ -475,6 +475,22 @@ def test_group_validation_agrees_with_exhaustive_search(case):
     check_group_against_oracle(*case)
 
 
+@settings(max_examples=100, deadline=None)
+@given(shuffled_groups())
+def test_heap_from_group_equals_the_validated_heap(case):
+    # heap_from_group skips validation; the table built here from the group's
+    # own op and inverse must pass FiniteHeapModel and give the same value
+    carrier, op, identity, inverse = case
+    h = heap_from_group(GroupModel(carrier=carrier, op=op, identity=identity, inverse=inverse))
+    table = {(a, b, c): op[(op[(a, inverse[b])], c)] for a, b, c in itertools.product(carrier, repeat=3)}
+    assert h == FiniteHeapModel(carrier=carrier, ternary=table)
+    assert h.carrier == carrier
+    key = (carrier[0],) * 3
+    with pytest.raises(TypeError):
+        h.ternary[key] = carrier[-1]
+    assert h.ternary[key] == carrier[0]
+
+
 def test_small_groups_and_the_loop_are_classified():
     for carrier, op, identity, inverse in GROUP_ARGS:
         assert group_axiom_failure(carrier, op, identity, inverse) is None
