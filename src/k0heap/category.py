@@ -10,10 +10,10 @@ vector (for instance pushouts along an identity) are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
+from ._frozen import Frozen
 from .presentation import (
     AbelianHeapPresentation,
     AffineWord,
@@ -34,14 +34,14 @@ class InvalidSpecError(ValueError):
         self.issues = tuple(issues)
 
 
-@dataclass(frozen=True)
-class SpecIssue:
+class SpecIssue(NamedTuple):
     severity: str  # "error" or "warning"
     message: str
 
 
-@dataclass(frozen=True)
-class PushoutEntry:
+class PushoutEntry(NamedTuple):
+    """A pushout square; as a tuple, entries sort by apex, left, right, result, then flags."""
+
     apex: str
     left: str
     right: str
@@ -65,36 +65,29 @@ class PushoutEntry:
         )
 
 
-def pushout_sort_key(e: PushoutEntry):
-    return (e.apex, e.left, e.right, e.result, e.left_mono, e.right_mono)
-
-
-@dataclass(frozen=True, eq=False)
-class CategorySpec:
+class CategorySpec(Frozen):
     """Finite category description; equality ignores entry order.
 
     The sum and product tables are kept as read-only copies.
     """
 
-    objects: tuple[str, ...]
-    pushouts: tuple[PushoutEntry, ...] = ()
-    zero: str | None = None
-    sums: Mapping | None = None
-    products: Mapping | None = None
-    unit: str | None = None
+    __slots__ = ("objects", "pushouts", "zero", "sums", "products", "unit")
 
-    def __post_init__(self):
-        for name in ("sums", "products"):
-            table = getattr(self, name)
-            if table is not None:
-                object.__setattr__(self, name, MappingProxyType(dict(table)))
+    def __init__(self, objects: tuple[str, ...], pushouts: tuple[PushoutEntry, ...] = (), zero: str | None = None,
+                 sums: Mapping | None = None, products: Mapping | None = None, unit: str | None = None):
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "pushouts", pushouts)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "sums", None if sums is None else MappingProxyType(dict(sums)))
+        object.__setattr__(self, "products", None if products is None else MappingProxyType(dict(products)))
+        object.__setattr__(self, "unit", unit)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CategorySpec):
             return NotImplemented
         return (
             self.objects == other.objects
-            and sorted(self.pushouts, key=pushout_sort_key) == sorted(other.pushouts, key=pushout_sort_key)
+            and sorted(self.pushouts) == sorted(other.pushouts)
             and self.zero == other.zero
             and (self.sums or {}) == (other.sums or {})
             and (self.products or {}) == (other.products or {})
@@ -104,14 +97,13 @@ class CategorySpec:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class FunctorSpec:
-    source: CategorySpec
-    target: CategorySpec
-    object_map: Mapping = field(default_factory=dict)
+class FunctorSpec(Frozen):
+    __slots__ = ("source", "target", "object_map")
 
-    def __post_init__(self):
-        object.__setattr__(self, "object_map", MappingProxyType(dict(self.object_map)))
+    def __init__(self, source: CategorySpec, target: CategorySpec, object_map: Mapping | None = None):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "object_map", MappingProxyType(dict(object_map or {})))
 
 
 def zero_law_violations(zero: str | None, sums: Mapping) -> list[tuple[str, str, str]]:
@@ -196,8 +188,7 @@ def split_presentation(s: CategorySpec) -> AbelianHeapPresentation:
     return AbelianHeapPresentation(generators=s.objects, relations=tuple(relations))
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
+class ProjectionReport(NamedTuple):
     """Comparison of the split relation lattice against the full one."""
 
     contained: bool
@@ -235,8 +226,7 @@ def truss_table(s: CategorySpec) -> TrussTable:
     return TrussTable(entries=entries, unit=s.unit)
 
 
-@dataclass(frozen=True)
-class FunctorReport:
+class FunctorReport(NamedTuple):
     heap: MorphismReport
     truss_checked: bool
     truss_ok: bool | None = None

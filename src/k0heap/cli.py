@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import instances
 from .category import (
     CategorySpec,
     FunctorSpec,
@@ -24,12 +23,14 @@ from .category import (
     truss_table,
 )
 from .dsl import (
+    CW_CONVENTIONS,
     SpecSource,
     WordSyntaxError,
     bracket_text,
     parse_bracket_word,
     parse_spec,
     print_spec,
+    split_lines,
 )
 from .heaps import reduce_word, word_from_tree
 from .lattice import IntMatrix, snf
@@ -157,7 +158,7 @@ def cmd_project(args) -> int:
 
 def _parse_map_file(path: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_file(path).splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(_read_file(path)), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -209,7 +210,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_snf(args) -> int:
     rows = []
-    for lineno, raw in enumerate(sys.stdin.read().splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(sys.stdin.read()), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -227,6 +228,8 @@ def cmd_snf(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from . import instances  # the generators load only for the command that needs them
+
     kind = args.kind
     if kind in ("set", "vect", "swindle"):
         if args.arg is None:
@@ -321,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("arg", nargs="?", help="bound N for set/vect/swindle, cell-count file for cw")
     p.add_argument(
         "--convention",
-        choices=instances.CW_CONVENTIONS,
+        choices=CW_CONVENTIONS,
         default="same-index",
         help="sphere index paired with each disk in CW words",
     )

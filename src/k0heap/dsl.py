@@ -20,22 +20,32 @@ but flagged with a warning.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .category import CategorySpec, PushoutEntry, pushout_sort_key, zero_law_violations
+from .category import CategorySpec, PushoutEntry, zero_law_violations
 from .heaps import check_label
 
 _TOKEN = re.compile(r",|[^\s,]+")
+CW_CONVENTIONS = ("same-index", "boundary")  # the sphere index each disk is attached along
 
 
-@dataclass(frozen=True)
-class SpecSource:
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by LF, CRLF or CR only.
+
+    Unlike ``str.splitlines``, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029 stay
+    inside a line, as they do for an editor's line count, so a line number
+    in a message names the line a reader sees.  Every line-numbered reader
+    in the package splits its input here.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+class SpecSource(NamedTuple):
     text: str
     name: str = "<input>"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     line: int
     column: int
@@ -45,8 +55,7 @@ class Diagnostic:
         return f"{source_name}:{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     spec: CategorySpec | None
     diagnostics: tuple[Diagnostic, ...]
 
@@ -84,10 +93,7 @@ class _Parser:
         self.diagnostics.append(Diagnostic("warning", line, col, message))
 
     def run(self) -> ParseResult:
-        # lines end at LF, CRLF or CR only: unlike str.splitlines, \f, \x1e,
-        # \u2028 ... stay inside a line, as they do for an editor's line count
-        lines = self.src.text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(split_lines(self.src.text), start=1):
             code = raw.split("#", 1)[0]
             tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
             if not tokens:
@@ -128,6 +134,9 @@ class _Parser:
             self.error(lineno, last_col + len(last_tok), "missing label")
             return None
         tok, col = tokens[i]
+        if not declare and tok in self.declared:  # passed check_label when declared
+            self.references.append((tok, lineno, col))
+            return tok
         try:
             check_label(tok)
         except ValueError as exc:
@@ -300,7 +309,7 @@ def print_spec(s: CategorySpec) -> str:
         lines.append(f"zero {s.zero}")
     if s.unit is not None:
         lines.append(f"unit {s.unit}")
-    for e in sorted(s.pushouts, key=pushout_sort_key):
+    for e in sorted(s.pushouts):
         left = f"{e.left} [mono]" if e.left_mono else e.left
         right = f"{e.right} [mono]" if e.right_mono else e.right
         lines.append(f"pushout {e.apex} -> {left}, {e.apex} -> {right} => {e.result}")

@@ -15,10 +15,11 @@ All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+from ._frozen import Frozen
 
 RESERVED_LABEL_CHARS = frozenset("[],#*+=<>:")
 _MISSING = object()  # default of a table lookup; equal to no carrier label
@@ -54,17 +55,17 @@ class GroupAxiomError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class FreeHeapWord:
+class FreeHeapWord(Frozen):
     """Odd-length sequence of generators, read as an iterated ternary product."""
 
-    letters: tuple[str, ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        if len(self.letters) % 2 == 0:
-            raise ValueError(f"heap words must have odd length, got {len(self.letters)}")
-        for name in self.letters:
+    def __init__(self, letters: tuple[str, ...]):
+        if len(letters) % 2 == 0:
+            raise ValueError(f"heap words must have odd length, got {len(letters)}")
+        for name in letters:
             check_label(name)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -143,8 +144,7 @@ def word_from_tree(tree) -> FreeHeapWord:
     return FreeHeapWord(tuple(out))
 
 
-@dataclass(frozen=True, eq=True)
-class GroupModel:
+class GroupModel(Frozen):
     """Finite group as read-only copies of explicit tables, validated in O(n^2 log n).
 
     The tables are read once into carrier indices.  Associativity is Light's
@@ -153,10 +153,14 @@ class GroupModel:
     each such g at least doubles that subgroup, so there are <= log2(n).
     """
 
-    carrier: tuple[str, ...]
-    op: Mapping
-    identity: str
-    inverse: Mapping
+    __slots__ = ("carrier", "op", "identity", "inverse")
+
+    def __init__(self, carrier: tuple[str, ...], op: Mapping, identity: str, inverse: Mapping):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", inverse)
+        self.__post_init__()
 
     def __post_init__(self):
         elems = self.carrier
@@ -200,8 +204,7 @@ class GroupModel:
                 fresh = {p for z in fresh for w in closure for p in (table[z][w], table[w][z])} - closure
 
 
-@dataclass(frozen=True, eq=True)
-class FiniteHeapModel:
+class FiniteHeapModel(Frozen):
     """Finite heap as a read-only copy of a ternary table, validated in O(n^3).
 
     The table is a heap exactly when its retract at e = carrier[0] is a group
@@ -211,8 +214,12 @@ class FiniteHeapModel:
     (all axioms hold vacuously) but has no retracts, having no basepoint.
     """
 
-    carrier: tuple[str, ...]
-    ternary: Mapping
+    __slots__ = ("carrier", "ternary")
+
+    def __init__(self, carrier: tuple[str, ...], ternary: Mapping):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "ternary", ternary)
+        self.__post_init__()
 
     def __post_init__(self):
         elems = self.carrier
@@ -263,8 +270,7 @@ def heap_from_group(g: GroupModel) -> FiniteHeapModel:
     return heap
 
 
-@dataclass(frozen=True)
-class MorphismCheck:
+class MorphismCheck(NamedTuple):
     ok: bool
     witness: tuple | None = None
     group_law_ok: bool | None = None

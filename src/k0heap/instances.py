@@ -8,10 +8,12 @@ pairs instead of failing.  The bound N is at most ``MAX_BOUND``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
-from .category import CategorySpec, PushoutEntry, pushout_sort_key
+from ._frozen import Frozen
+from .category import CategorySpec, PushoutEntry
+from .dsl import CW_CONVENTIONS, SpecSource, parse_spec, split_lines
 from .presentation import AffineWord, combine
 
 
@@ -46,31 +48,30 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-@dataclass(frozen=True)
-class FiniteSetSpan:
+class FiniteSetSpan(Frozen):
     """Span A <-f- B -g-> C with f injective; elements are 0-based indices."""
 
-    size_a: int
-    size_b: int
-    size_c: int
-    injection: tuple[int, ...]  # f: B -> A
-    attach: tuple[int, ...]  # g: B -> C
+    __slots__ = ("size_a", "size_b", "size_c", "injection", "attach")
 
-    def __post_init__(self):
-        if min(self.size_a, self.size_b, self.size_c) < 0:
+    def __init__(self, size_a: int, size_b: int, size_c: int, injection: tuple[int, ...], attach: tuple[int, ...]):
+        if min(size_a, size_b, size_c) < 0:
             raise ValueError("set sizes must be non-negative")
-        if len(self.injection) != self.size_b or len(self.attach) != self.size_b:
+        if len(injection) != size_b or len(attach) != size_b:  # f: B -> A, g: B -> C
             raise ValueError("f and g must be total on B")
-        if any(not 0 <= x < self.size_a for x in self.injection):
+        if any(not 0 <= x < size_a for x in injection):
             raise ValueError("f must land in A")
-        if any(not 0 <= x < self.size_c for x in self.attach):
+        if any(not 0 <= x < size_c for x in attach):
             raise ValueError("g must land in C")
-        if len(set(self.injection)) != self.size_b:
+        if len(set(injection)) != size_b:
             raise ValueError("f must be injective (the monomorphic leg)")
+        object.__setattr__(self, "size_a", size_a)
+        object.__setattr__(self, "size_b", size_b)
+        object.__setattr__(self, "size_c", size_c)
+        object.__setattr__(self, "injection", injection)
+        object.__setattr__(self, "attach", attach)
 
 
-@dataclass(frozen=True)
-class SetPushoutResult:
+class SetPushoutResult(NamedTuple):
     size: int
     classes: tuple[tuple[str, ...], ...]
 
@@ -117,7 +118,7 @@ def finite_sets_spec(n: int) -> CategorySpec:
         for a in range(b, n + 1)
         for c in range(b, n - a + b + 1)
     ]
-    entries.sort(key=pushout_sort_key)
+    entries.sort()
     sums = {
         (label[a], label[b]): label[a + b]
         for a in range(n + 1)
@@ -167,7 +168,7 @@ def vect_spec(n: int) -> CategorySpec:
                         right_mono=b <= c,
                     )
                 )
-    entries.sort(key=pushout_sort_key)
+    entries.sort()
     sums = {(str(a), str(b)): str(a + b) for a in range(n + 1) for b in range(n + 1) if a + b <= n}
     products = {
         (str(a), str(b)): str(a * b) for a in range(n + 1) for b in range(n + 1) if a * b <= n
@@ -203,7 +204,7 @@ def swindle_spec(n: int) -> CategorySpec:
                 right_mono=True,
             )
         )
-    entries.sort(key=pushout_sort_key)
+    entries.sort()
     sums = dict(base.sums)
     for v in objects:
         sums[(v, "omega")] = "omega"
@@ -233,8 +234,6 @@ def bounded_abelian_groups_file() -> CategorySpec:
     a monomorphic leg; direct sums appear both as sum-table entries and as
     pushouts along the zero object.
     """
-    from .dsl import SpecSource, parse_spec
-
     text = resources.files("k0heap").joinpath("data/zmod.cat").read_text(encoding="utf-8")
     result = parse_spec(SpecSource(text=text, name="zmod.cat"))
     if result.spec is None:
@@ -244,22 +243,19 @@ def bounded_abelian_groups_file() -> CategorySpec:
     return result.spec
 
 
-CW_CONVENTIONS = ("same-index", "boundary")
-
-
-@dataclass(frozen=True)
-class CWComplexSpec:
+class CWComplexSpec(Frozen):
     """Cell counts per dimension; index k holds the number of k-cells."""
 
-    cell_counts: tuple[int, ...]
+    __slots__ = ("cell_counts",)
 
-    def __post_init__(self):
-        if not self.cell_counts:
+    def __init__(self, cell_counts: tuple[int, ...]):
+        if not cell_counts:
             raise ValueError("a CW spec needs at least dimension 0")
-        if self.cell_counts[0] < 1:
+        if cell_counts[0] < 1:
             raise ValueError("at least one 0-cell is required")
-        if any(c < 0 for c in self.cell_counts):
+        if any(c < 0 for c in cell_counts):
             raise ValueError("cell counts must be non-negative")
+        object.__setattr__(self, "cell_counts", cell_counts)
 
     @property
     def dimension(self) -> int:
@@ -269,7 +265,7 @@ class CWComplexSpec:
 def parse_cell_counts(text: str) -> CWComplexSpec:
     """One cell count per line; blank lines and '#' comments are ignored."""
     counts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

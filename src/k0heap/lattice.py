@@ -17,24 +17,23 @@ Matrices are immutable values; every function returns fresh objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+class IntMatrix(Frozen):
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -59,44 +58,46 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(Frozen):
     """Canonical shape of a finitely generated abelian group.
 
     ``rank`` counts infinite cyclic factors; ``torsion`` lists the finite
     invariant factors d1 | d2 | ... with every di >= 2.
     """
 
-    rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...]):
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("torsion factors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain: {a} does not divide {b}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Frozen):
     """``left @ matrix @ right`` is diagonal with the given diagonal entries.
 
     ``left`` is rows x rows and no library caller reads it, so it is built
     on first read, by rerunning the deterministic elimination on the stored
-    matrix with the row transform kept.
+    matrix with the row transform kept; the instance ``__dict__`` holds it.
     """
 
-    diagonal: tuple[int, ...]
-    right: IntMatrix
-    _matrix: IntMatrix = field(repr=False)
+    __slots__ = ("diagonal", "right", "_matrix", "__dict__")
+
+    def __init__(self, diagonal: tuple[int, ...], right: IntMatrix, _matrix: IntMatrix):
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_matrix", _matrix)
 
     @cached_property
     def left(self) -> IntMatrix:

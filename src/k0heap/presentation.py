@@ -20,12 +20,12 @@ likewise never builds its row transform, which no query reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping, NamedTuple
 
+from ._frozen import Frozen
 from .heaps import check_label
 from .lattice import IntMatrix, InvariantFactors, hnf, residue, smith_decomposition
 
@@ -40,8 +40,7 @@ class MissingProductError(ValueError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class _SparseTerms:
+class _SparseTerms(Frozen):
     """Sorted nonzero (label, coefficient) pairs with a fixed coefficient sum.
 
     Subclasses set the required sum and the noun used in its error message;
@@ -49,14 +48,18 @@ class _SparseTerms:
     relation vector with the same terms.
     """
 
-    terms: tuple[tuple[str, int], ...]
+    __slots__ = ("terms",)
     _total: ClassVar[int]
     _noun: ClassVar[str]
 
-    def __post_init__(self):
-        total = sum(c for _, c in self.terms)
+    def __init__(self, terms: tuple[tuple[str, int], ...]):
+        total = sum(c for _, c in terms)
         if total != self._total:
             raise ValueError(f"{self._noun} coefficients must sum to {self._total}, got {total}")
+        object.__setattr__(self, "terms", terms)
+
+    def __hash__(self):  # hashing a presentation hashes every relation: keep this call lean
+        return hash(self.terms)
 
     @classmethod
     def from_coefficients(cls, coeffs: Mapping[str, int]):
@@ -83,6 +86,7 @@ class _SparseTerms:
 class AffineWord(_SparseTerms):
     """Integer combination of generators with coefficient sum 1."""
 
+    __slots__ = ()
     _total = 1
     _noun = "affine word"
 
@@ -94,6 +98,7 @@ class AffineWord(_SparseTerms):
 class RelationVector(_SparseTerms):
     """Integer combination of generators with coefficient sum 0."""
 
+    __slots__ = ()
     _total = 0
     _noun = "relation"
 
@@ -142,20 +147,20 @@ def normalize_affine(tree) -> AffineWord:
     return AffineWord.from_coefficients(acc)  # drops zero coefficients
 
 
-@dataclass(frozen=True)
-class AbelianHeapPresentation:
-    generators: tuple[str, ...]
-    relations: tuple[RelationVector, ...]
+class AbelianHeapPresentation(Frozen):
+    __slots__ = ("generators", "relations")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: tuple[str, ...], relations: tuple[RelationVector, ...]):
+        if not generators:
             raise ValueError("a presentation needs at least one generator")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise ValueError("generators must be distinct")
-        for g in self.generators:
+        for g in generators:
             check_label(g)
-        for r in self.relations:
-            check_support(self.generators, r)
+        for r in relations:
+            check_support(generators, r)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
 
 
 def check_support(generators: tuple[str, ...], w: AffineWord | RelationVector) -> None:
@@ -201,8 +206,7 @@ def word_equal(p: AbelianHeapPresentation, w1: AffineWord, w2: AffineWord) -> bo
     return in_relation_lattice(p, diff)
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(Frozen):
     """Retract group of a presented abelian heap at a basepoint.
 
     ``class_coordinates`` maps a word to rank + torsion many integers, the
@@ -211,13 +215,18 @@ class GroupStructure:
     word_equal classes.
     """
 
-    generators: tuple[str, ...]
-    base: str
-    axis: tuple[str, ...]
-    invariants: InvariantFactors
-    _transform: tuple[tuple[int, ...], ...]
-    _free_columns: tuple[int, ...]
-    _torsion_columns: tuple[tuple[int, int], ...]
+    __slots__ = ("generators", "base", "axis", "invariants", "_transform", "_free_columns", "_torsion_columns")
+
+    def __init__(self, generators: tuple[str, ...], base: str, axis: tuple[str, ...], invariants: InvariantFactors,
+                 _transform: tuple[tuple[int, ...], ...], _free_columns: tuple[int, ...],
+                 _torsion_columns: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "_transform", _transform)
+        object.__setattr__(self, "_free_columns", _free_columns)
+        object.__setattr__(self, "_torsion_columns", _torsion_columns)
 
     def class_coordinates(self, w: AffineWord) -> tuple[int, ...]:
         check_support(self.generators, w)
@@ -270,14 +279,13 @@ def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStruc
     )
 
 
-@dataclass(frozen=True)
-class PresentationMorphism:
-    source: AbelianHeapPresentation
-    target: AbelianHeapPresentation
-    images: Mapping
+class PresentationMorphism(Frozen):
+    __slots__ = ("source", "target", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
+    def __init__(self, source: AbelianHeapPresentation, target: AbelianHeapPresentation, images: Mapping):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", MappingProxyType(dict(images)))
 
     def apply(self, w: AffineWord) -> AffineWord:
         check_support(self.source.generators, w)
@@ -286,8 +294,7 @@ class PresentationMorphism:
         )
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     ok: bool
     witness: RelationVector | None = None
     morphism: PresentationMorphism | None = None
@@ -317,26 +324,23 @@ def induced_morphism(
     )
 
 
-@dataclass(frozen=True)
-class TrussTable:
+class TrussTable(Frozen):
     """Products of generator pairs as affine words, with an optional unit label."""
 
-    entries: Mapping
-    unit: str | None = None
+    __slots__ = ("entries", "unit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    def __init__(self, entries: Mapping, unit: str | None = None):
+        object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
+        object.__setattr__(self, "unit", unit)
 
 
-@dataclass(frozen=True)
-class TrussViolation:
+class TrussViolation(NamedTuple):
     relation: RelationVector
     side: str
     generator: str
 
 
-@dataclass(frozen=True)
-class Truss:
+class Truss(NamedTuple):
     """Validated multiplicative structure on a presented abelian heap."""
 
     presentation: AbelianHeapPresentation
@@ -356,8 +360,7 @@ class Truss:
         return AffineWord.from_coefficients(combine(parts))
 
 
-@dataclass(frozen=True)
-class TrussCheck:
+class TrussCheck(NamedTuple):
     ok: bool
     violation: TrussViolation | None
     omitted: tuple[tuple[str, str], ...]

@@ -58,6 +58,15 @@ def test_snf_rejects_ragged_input(monkeypatch, capsys):
     assert "ragged" in capsys.readouterr().err
 
 
+def test_snf_lines_end_at_lf_crlf_or_cr_only(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2 0\x0c\r\n0 3\x85\r\u2028\n"))
+    assert run_cli(["snf"]) == 0
+    assert capsys.readouterr().out == "rank 0\ntorsion 6\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2 0\x85\n0 3\x0c\n1 x\u2028 4\n"))
+    assert run_cli(["snf"]) == 2
+    assert capsys.readouterr().err == "error: stdin:3: matrix entries must be integers\n"
+
+
 def test_reduce_human_output(capsys):
     assert run_cli(["reduce", "[x,x,y]"]) == 0
     assert capsys.readouterr().out == "y\n"
@@ -231,6 +240,18 @@ def test_bad_map_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_map_file_lines_end_at_lf_crlf_or_cr_only(tmp_path, capsys):
+    src = tmp_path / "a.cat"
+    src.write_text("object A\nobject B\nobject C\n")
+    mapfile = tmp_path / "odd.map"
+    mapfile.write_text("A => A\x0c\nB => B\x85\nC\u2028=> C D\n", encoding="utf-8")
+    assert run_cli(["morphism", str(src), str(src), str(mapfile)]) == 2
+    assert capsys.readouterr().err == f"error: {mapfile}:3: expected 'SRC => DST'\n"
+    mapfile.write_text("A => A\x0c\nB => B\x85\nC\u2028=> C\n", encoding="utf-8")
+    assert run_cli(["morphism", str(src), str(src), str(mapfile)]) == 0
+    assert "heap-morphism true" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     assert run_cli([]) == 2
     assert run_cli(["not-a-command"]) == 2
@@ -242,12 +263,12 @@ def test_help_exits_zero(capsys):
 
 
 def run_module(*argv, module="k0heap.cli"):
-    """Run ``python -m MODULE`` on this checkout's sources."""
+    """Run ``python -m MODULE`` (``python ARGS`` when ``module`` is None) on this checkout's sources."""
     src = str(Path(k0heap.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, *(["-m", module] if module else []), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -270,3 +291,25 @@ def test_package_entry_point_runs_the_cli(data_dir):
     assert f"{bad}:9:1: error: sum 0 + A = B breaks the zero-object law" in proc.stderr
     assert f"{bad}:11:3: error: sum B + 0 = A breaks the zero-object law" in proc.stderr
     assert proc.stdout == ""
+
+
+FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import k0heap
+after_package = set(sys.modules)
+import k0heap.cli
+k0heap.cli.build_parser()
+print(' '.join(sorted(after_package - before)))
+print(' '.join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_needs_neither_dataclasses_nor_the_generators():
+    """Start-up cost is guarded by what gets imported, not by a timing gate."""
+    proc = run_module("-c", FOOTPRINT, module=None)
+    assert proc.returncode == 0, proc.stderr
+    package, cli = (line.split() for line in proc.stdout.splitlines())
+    assert "k0heap.presentation" in package and "dataclasses" not in package
+    assert "k0heap.dsl" in cli
+    assert "dataclasses" not in cli and "k0heap.instances" not in cli

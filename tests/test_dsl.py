@@ -105,6 +105,13 @@ def test_missing_mono_keeps_entry_with_warning(data_dir):
     assert k0_presentation(spec).relations == ()
 
 
+def test_spec_lines_end_at_lf_crlf_or_cr_only():
+    # \f, \x85 and \u2028 break lines for str.splitlines but not for a reader's line count
+    text = "object A\x0c\r\nobject A\x85\robject B\u2028\nbogus\n"
+    diagnostics = [(d.line, d.column, d.message) for d in parse_spec(SpecSource(text)).diagnostics]
+    assert diagnostics == [(2, 8, "duplicate object 'A'"), (4, 1, "unknown directive 'bogus'")]
+
+
 def test_diagnostic_rendering():
     d = Diagnostic("error", 3, 9, "boom")
     assert d.render("demo.cat") == "demo.cat:3:9: error: boom"

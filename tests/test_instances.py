@@ -197,6 +197,17 @@ def test_parse_cell_counts():
         parse_cell_counts("1\nx\n")
 
 
+def test_cell_count_lines_end_at_lf_crlf_or_cr_only():
+    assert parse_cell_counts("1\x0c\r\n\x852\r3\u2028\n") == CWComplexSpec((1, 2, 3))
+    for text, message in [
+        ("1\x0cx\n2", "line 1: expected an integer cell count, got '1\\x0cx'"),
+        ("1\x85\n2\x0c\n3\u2028x\n", "line 3: expected an integer cell count, got '3\\u2028x'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_cell_counts(text)
+        assert str(info.value) == message
+
+
 def test_set_entries_are_the_bounded_triples_with_concrete_pushout_sizes():
     # finite_sets_spec writes |A| - |B| + |C| down directly; build each square
     # as a concrete span (legs not the first-b inclusions) and glue it here
