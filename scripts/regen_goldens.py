@@ -37,6 +37,12 @@ CASES = {
     "demo_cw.txt": (["demo", "cw", str(DATA / "cw_example.txt"),
                      "--format", "structured"], None),
     "demo_set2.txt": (["demo", "set", "2"], None),
+    "present_set8.txt": (["present", str(DATA / "valid" / "set8.cat"),
+                          "--format", "structured"], None),
+    "project_vect8.txt": (["project", str(DATA / "valid" / "vect8.cat"),
+                           "--format", "structured"], None),
+    "truss_swindle8.txt": (["truss-check", str(DATA / "valid" / "swindle8.cat"),
+                            "--format", "structured"], None),
 }
 
 

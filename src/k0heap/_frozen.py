@@ -9,6 +9,7 @@ them.
 """
 
 from operator import attrgetter
+from types import MappingProxyType
 
 
 class Frozen:
@@ -41,5 +42,7 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        # rebuilt through __init__, which takes the fields in order
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        # rebuilt through __init__, which takes the fields in order and makes each
+        # read-only table (which neither pickles nor deep-copies) from a plain dict
+        fields = (getattr(self, name) for name in self._fields)
+        return type(self), tuple(dict(f) if isinstance(f, MappingProxyType) else f for f in fields)

@@ -21,9 +21,8 @@ from .presentation import (
     MorphismReport,
     RelationVector,
     TrussTable,
-    combine,
-    in_relation_lattice,
     induced_morphism,
+    lattice_membership,
     retract_group_structure,
 )
 
@@ -53,16 +52,6 @@ class PushoutEntry(NamedTuple):
     def qualifies(self) -> bool:
         """Only squares with a monomorphic leg generate relations."""
         return self.left_mono or self.right_mono
-
-    def relation_coefficients(self) -> dict[str, int]:
-        return combine(
-            [
-                (1, {self.left: 1}),
-                (-1, {self.apex: 1}),
-                (1, {self.right: 1}),
-                (-1, {self.result: 1}),
-            ]
-        )
 
 
 class CategorySpec(Frozen):
@@ -158,17 +147,28 @@ def ensure_valid(s: CategorySpec) -> None:
         raise InvalidSpecError(errors)
 
 
+def _relations(squares) -> tuple[RelationVector, ...]:
+    """left - apex + right - result per (left, apex, right, result), terms sorted, zeros dropped.
+
+    The presentation checks the labels: every generator, and each support.
+    """
+    relations = []
+    for left, apex, right, result in squares:
+        acc = {left: 1}
+        acc[right] = acc.get(right, 0) + 1
+        acc[apex] = acc.get(apex, 0) - 1
+        acc[result] = acc.get(result, 0) - 1
+        terms = tuple(sorted(item for item in acc.items() if item[1]))
+        if terms:
+            relations.append(RelationVector(terms))
+    return tuple(relations)
+
+
 def k0_presentation(s: CategorySpec) -> AbelianHeapPresentation:
     """Generators are the objects; one relation per qualifying pushout square."""
     ensure_valid(s)
-    relations = []
-    for e in s.pushouts:
-        if not e.qualifies:
-            continue
-        coeffs = e.relation_coefficients()
-        if coeffs:
-            relations.append(RelationVector.from_coefficients(coeffs))
-    return AbelianHeapPresentation(generators=s.objects, relations=tuple(relations))
+    squares = ((e.left, e.apex, e.right, e.result) for e in s.pushouts if e.qualifies)
+    return AbelianHeapPresentation(generators=s.objects, relations=_relations(squares))
 
 
 def k0_group(s: CategorySpec, base: str) -> GroupStructure:
@@ -180,12 +180,8 @@ def split_presentation(s: CategorySpec) -> AbelianHeapPresentation:
     ensure_valid(s)
     if s.sums is None or s.zero is None:
         raise ValueError("split presentation needs both a sums table and a zero object")
-    relations = []
-    for (a, b), c in sorted(s.sums.items()):
-        coeffs = combine([(1, {a: 1}), (-1, {s.zero: 1}), (1, {b: 1}), (-1, {c: 1})])
-        if coeffs:
-            relations.append(RelationVector.from_coefficients(coeffs))
-    return AbelianHeapPresentation(generators=s.objects, relations=tuple(relations))
+    squares = ((a, s.zero, b, c) for (a, b), c in sorted(s.sums.items()))
+    return AbelianHeapPresentation(generators=s.objects, relations=_relations(squares))
 
 
 class ProjectionReport(NamedTuple):
@@ -207,11 +203,13 @@ def compare_projection(
 ) -> ProjectionReport:
     if split.generators != full.generators:
         raise ValueError("presentations must share the same generator tuple")
+    in_full = lattice_membership(full)
     for rel in split.relations:
-        if not in_relation_lattice(full, rel.as_dict()):
+        if not in_full(((1, rel),)):
             return ProjectionReport(contained=False, equal=False, witness=rel)
+    in_split = lattice_membership(split)
     for rel in full.relations:
-        if not in_relation_lattice(split, rel.as_dict()):
+        if not in_split(((1, rel),)):
             return ProjectionReport(contained=True, equal=False, witness=rel)
     return ProjectionReport(contained=True, equal=True)
 

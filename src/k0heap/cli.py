@@ -1,14 +1,16 @@
 """Command-line surface tying the engine together.
 
 Exit codes: 0 on success, 1 when a checked structure fails to verify
-(ideal violation, broken morphism, missing containment), 2 on parse or
-usage errors.  ``--format structured`` switches every command to a stable
-key/value document starting with the versioned header line ``k0-format 1``.
+(ideal violation, broken morphism, missing containment) or the reader
+closes stdout early, 2 on parse or usage errors.  ``--format structured``
+switches every command to a stable key/value document starting with the
+versioned header line ``k0-format 1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -347,7 +349,14 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): the flush at shutdown goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -71,34 +71,57 @@ class WordSyntaxError(ValueError):
 
 
 class _Parser:
+    """One pass over the lines; tokens are plain strings.
+
+    A token's column is worked out only when a diagnostic or an unresolved
+    reference needs it, by tokenizing the line again.  A reference to an
+    already declared label is not recorded: it can never be unknown.
+    """
+
     def __init__(self, src: SpecSource):
         self.src = src
         self.diagnostics: list[Diagnostic] = []
         self.objects: list[str] = []
         self.declared: set[str] = set()
-        self.zero: tuple[str, int, int] | None = None
-        self.unit: tuple[str, int, int] | None = None
+        self.zero: str | None = None
+        self.unit: str | None = None
         self.pushouts: list[PushoutEntry] = []
         self.sums: dict[tuple[str, str], str] = {}
-        # (line, column) of each recorded sum entry, for late zero-law errors
-        self.sum_positions: dict[tuple[str, str], tuple[int, int]] = {}
+        # (line number, code) of each recorded sum entry, for late zero-law errors
+        self.sum_lines: dict[tuple[str, str], tuple[int, str]] = {}
         self.products: dict[tuple[str, str], str] = {}
-        # label references checked after all declarations are known
+        # (label, line, column) of references to labels not yet declared
         self.references: list[tuple[str, int, int]] = []
+        self.handlers = {
+            "object": self.parse_object,
+            "zero": self.parse_point,
+            "unit": self.parse_point,
+            "pushout": self.parse_pushout,
+            "sum": self.parse_table,
+            "product": self.parse_table,
+        }
+        self.lineno = 0
+        self.code = ""  # the current line without its comment
 
-    def error(self, line: int, col: int, message: str) -> None:
-        self.diagnostics.append(Diagnostic("error", line, col, message))
+    def error(self, i: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic("error", self.lineno, _column(self.code, i), message))
 
-    def warning(self, line: int, col: int, message: str) -> None:
-        self.diagnostics.append(Diagnostic("warning", line, col, message))
+    def warning(self, i: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic("warning", self.lineno, _column(self.code, i), message))
 
     def run(self) -> ParseResult:
+        handlers = self.handlers
         for lineno, raw in enumerate(split_lines(self.src.text), start=1):
             code = raw.split("#", 1)[0]
-            tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
+            tokens = _TOKEN.findall(code)
             if not tokens:
                 continue
-            self.line(lineno, tokens)
+            self.lineno, self.code = lineno, code
+            handler = handlers.get(tokens[0])
+            if handler is None:
+                self.error(0, f"unknown directive {tokens[0]!r}")
+            else:
+                handler(tokens)
         self.check_references()
         errors = any(d.severity == "error" for d in self.diagnostics)
         spec = None
@@ -106,194 +129,138 @@ class _Parser:
             spec = CategorySpec(
                 objects=tuple(self.objects),
                 pushouts=tuple(self.pushouts),
-                zero=self.zero[0] if self.zero else None,
+                zero=self.zero,
                 sums=self.sums or None,
                 products=self.products or None,
-                unit=self.unit[0] if self.unit else None,
+                unit=self.unit,
             )
         return ParseResult(spec=spec, diagnostics=tuple(self.diagnostics))
 
-    def line(self, lineno: int, tokens: list[tuple[str, int]]) -> None:
-        head, col = tokens[0]
-        handler = {
-            "object": self.parse_object,
-            "zero": self.parse_zero,
-            "unit": self.parse_unit,
-            "pushout": self.parse_pushout,
-            "sum": self.parse_sum,
-            "product": self.parse_product,
-        }.get(head)
-        if handler is None:
-            self.error(lineno, col, f"unknown directive {head!r}")
-            return
-        handler(lineno, tokens)
-
-    def take_label(self, lineno: int, tokens, i: int, *, declare: bool = False) -> str | None:
+    def take_label(self, tokens: list[str], i: int, *, declare: bool = False) -> str | None:
         if i >= len(tokens):
-            last_tok, last_col = tokens[-1]
-            self.error(lineno, last_col + len(last_tok), "missing label")
+            self.error(i, "missing label")
             return None
-        tok, col = tokens[i]
+        tok = tokens[i]
         if not declare and tok in self.declared:  # passed check_label when declared
-            self.references.append((tok, lineno, col))
             return tok
         try:
             check_label(tok)
         except ValueError as exc:
-            self.error(lineno, col, str(exc))
+            self.error(i, str(exc))
             return None
         if declare:
             if tok in self.declared:
-                self.error(lineno, col, f"duplicate object {tok!r}")
+                self.error(i, f"duplicate object {tok!r}")
                 return None
             self.declared.add(tok)
         else:
-            self.references.append((tok, lineno, col))
+            self.references.append((tok, self.lineno, _column(self.code, i)))
         return tok
 
-    def expect(self, lineno: int, tokens, i: int, literal: str) -> bool:
+    def expect(self, tokens: list[str], i: int, literal: str) -> bool:
         if i >= len(tokens):
-            last_tok, last_col = tokens[-1]
-            self.error(lineno, last_col + len(last_tok), f"expected {literal!r}")
+            self.error(i, f"expected {literal!r}")
             return False
-        tok, col = tokens[i]
-        if tok != literal:
-            self.error(lineno, col, f"expected {literal!r}, got {tok!r}")
+        if tokens[i] != literal:
+            self.error(i, f"expected {literal!r}, got {tokens[i]!r}")
             return False
         return True
 
-    def no_extra(self, lineno: int, tokens, i: int) -> bool:
+    def no_extra(self, tokens: list[str], i: int) -> bool:
         if i < len(tokens):
-            tok, col = tokens[i]
-            self.error(lineno, col, f"unexpected trailing token {tok!r}")
+            self.error(i, f"unexpected trailing token {tokens[i]!r}")
             return False
         return True
 
-    def parse_object(self, lineno: int, tokens) -> None:
-        name = self.take_label(lineno, tokens, 1, declare=True)
-        if name is not None and self.no_extra(lineno, tokens, 2):
+    def parse_object(self, tokens: list[str]) -> None:
+        name = self.take_label(tokens, 1, declare=True)
+        if name is not None and self.no_extra(tokens, 2):
             self.objects.append(name)
 
-    def parse_zero(self, lineno: int, tokens) -> None:
-        if self.zero is not None:
-            self.error(lineno, tokens[0][1], "duplicate zero declaration")
+    def parse_point(self, tokens: list[str]) -> None:
+        # zero NAME | unit NAME
+        kind = tokens[0]
+        if getattr(self, kind) is not None:
+            self.error(0, f"duplicate {kind} declaration")
             return
-        name = self.take_label(lineno, tokens, 1)
-        if name is not None and self.no_extra(lineno, tokens, 2):
-            self.zero = (name, lineno, tokens[1][1])
+        name = self.take_label(tokens, 1)
+        if name is not None and self.no_extra(tokens, 2):
+            setattr(self, kind, name)
 
-    def parse_unit(self, lineno: int, tokens) -> None:
-        if self.unit is not None:
-            self.error(lineno, tokens[0][1], "duplicate unit declaration")
-            return
-        name = self.take_label(lineno, tokens, 1)
-        if name is not None and self.no_extra(lineno, tokens, 2):
-            self.unit = (name, lineno, tokens[1][1])
-
-    def parse_pushout(self, lineno: int, tokens) -> None:
+    def parse_pushout(self, tokens: list[str]) -> None:
         # pushout APEX -> LEFT [mono]?, APEX -> RIGHT [mono]? => RESULT
-        i = 1
-        apex = self.take_label(lineno, tokens, i)
-        if apex is None or not self.expect(lineno, tokens, i + 1, "->"):
+        apex = self.take_label(tokens, 1)
+        if apex is None or not self.expect(tokens, 2, "->"):
             return
-        left = self.take_label(lineno, tokens, i + 2)
+        left = self.take_label(tokens, 3)
         if left is None:
             return
-        i += 3
-        left_mono = False
-        if i < len(tokens) and tokens[i][0] == "[mono]":
-            left_mono = True
-            i += 1
-        if not self.expect(lineno, tokens, i, ","):
+        i = 4
+        left_mono = i < len(tokens) and tokens[i] == "[mono]"
+        i += left_mono
+        if not self.expect(tokens, i, ","):
             return
         i += 1
-        apex2 = self.take_label(lineno, tokens, i)
-        if apex2 is None or not self.expect(lineno, tokens, i + 1, "->"):
+        apex2 = self.take_label(tokens, i)
+        if apex2 is None or not self.expect(tokens, i + 1, "->"):
             return
         if apex2 != apex:
-            self.error(lineno, tokens[i][1], f"apex mismatch: {apex2!r} does not repeat {apex!r}")
+            self.error(i, f"apex mismatch: {apex2!r} does not repeat {apex!r}")
             return
-        right = self.take_label(lineno, tokens, i + 2)
+        right = self.take_label(tokens, i + 2)
         if right is None:
             return
         i += 3
-        right_mono = False
-        if i < len(tokens) and tokens[i][0] == "[mono]":
-            right_mono = True
-            i += 1
-        if not self.expect(lineno, tokens, i, "=>"):
+        right_mono = i < len(tokens) and tokens[i] == "[mono]"
+        i += right_mono
+        if not self.expect(tokens, i, "=>"):
             return
-        result = self.take_label(lineno, tokens, i + 1)
-        if result is None or not self.no_extra(lineno, tokens, i + 2):
+        result = self.take_label(tokens, i + 1)
+        if result is None or not self.no_extra(tokens, i + 2):
             return
         if not (left_mono or right_mono):
-            self.warning(
-                lineno,
-                tokens[0][1],
-                "pushout has no [mono] leg: kept in the spec but it generates no relation",
-            )
-        self.pushouts.append(
-            PushoutEntry(
-                apex=apex,
-                left=left,
-                right=right,
-                result=result,
-                left_mono=left_mono,
-                right_mono=right_mono,
-            )
-        )
+            self.warning(0, "pushout has no [mono] leg: kept in the spec but it generates no relation")
+        self.pushouts.append(PushoutEntry(apex, left, right, result, left_mono, right_mono))
 
-    def parse_table_line(self, lineno: int, tokens, symbol: str):
-        a = self.take_label(lineno, tokens, 1)
-        if a is None or not self.expect(lineno, tokens, 2, symbol):
-            return None
-        b = self.take_label(lineno, tokens, 3)
-        if b is None or not self.expect(lineno, tokens, 4, "="):
-            return None
-        c = self.take_label(lineno, tokens, 5)
-        if c is None or not self.no_extra(lineno, tokens, 6):
-            return None
-        return a, b, c
-
-    def parse_sum(self, lineno: int, tokens) -> None:
-        parsed = self.parse_table_line(lineno, tokens, "+")
-        if parsed is None:
+    def parse_table(self, tokens: list[str]) -> None:
+        # sum A + B = C | product A * B = C
+        kind = tokens[0]
+        a = self.take_label(tokens, 1)
+        if a is None or not self.expect(tokens, 2, "+" if kind == "sum" else "*"):
             return
-        a, b, c = parsed
-        previous = self.sums.get((a, b))
+        b = self.take_label(tokens, 3)
+        if b is None or not self.expect(tokens, 4, "="):
+            return
+        c = self.take_label(tokens, 5)
+        if c is None or not self.no_extra(tokens, 6):
+            return
+        table = self.sums if kind == "sum" else self.products
+        previous = table.get((a, b))
         if previous is not None:
             if previous != c:
-                self.error(lineno, tokens[0][1], f"conflicting sum for ({a}, {b}): {previous} vs {c}")
+                self.error(0, f"conflicting {kind} for ({a}, {b}): {previous} vs {c}")
             else:
-                self.warning(lineno, tokens[0][1], f"duplicate sum entry for ({a}, {b})")
+                self.warning(0, f"duplicate {kind} entry for ({a}, {b})")
             return
-        self.sums[(a, b)] = c
-        self.sum_positions[(a, b)] = (lineno, tokens[0][1])
-
-    def parse_product(self, lineno: int, tokens) -> None:
-        parsed = self.parse_table_line(lineno, tokens, "*")
-        if parsed is None:
-            return
-        a, b, c = parsed
-        previous = self.products.get((a, b))
-        if previous is not None:
-            if previous != c:
-                self.error(
-                    lineno, tokens[0][1], f"conflicting product for ({a}, {b}): {previous} vs {c}"
-                )
-            else:
-                self.warning(lineno, tokens[0][1], f"duplicate product entry for ({a}, {b})")
-            return
-        self.products[(a, b)] = c
+        table[(a, b)] = c
+        if kind == "sum":
+            self.sum_lines[(a, b)] = (self.lineno, self.code)
 
     def check_references(self) -> None:
         for label, lineno, col in self.references:
             if label not in self.declared:
-                self.error(lineno, col, f"unknown object {label!r}")
-        if self.zero is not None and self.zero[0] in self.declared:
-            for a, b, c in zero_law_violations(self.zero[0], self.sums):
-                line, col = self.sum_positions[(a, b)]
-                self.error(line, col, f"sum {a} + {b} = {c} breaks the zero-object law")
+                self.diagnostics.append(Diagnostic("error", lineno, col, f"unknown object {label!r}"))
+        if self.zero is not None and self.zero in self.declared:
+            for a, b, c in zero_law_violations(self.zero, self.sums):
+                lineno, code = self.sum_lines[(a, b)]
+                message = f"sum {a} + {b} = {c} breaks the zero-object law"
+                self.diagnostics.append(Diagnostic("error", lineno, _column(code, 0), message))
+
+
+def _column(code: str, i: int) -> int:
+    """1-based column of token ``i`` of ``code``, or just past its last token."""
+    spans = [m.span() for m in _TOKEN.finditer(code)]
+    return spans[i][0] + 1 if i < len(spans) else spans[-1][1] + 1
 
 
 def parse_spec(src: SpecSource) -> ParseResult:

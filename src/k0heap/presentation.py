@@ -12,10 +12,12 @@ Presentations are immutable and hashable.  The Hermite basis of each
 presentation's relation matrix, its rank nonzero rows only, is kept in one
 module-level, unbounded ``lru_cache`` keyed by the presentation's value:
 repeated queries on an equal presentation reuse it, each lookup hashes the
-whole presentation, and the cache never evicts.  The basis is built by
-folding the relations through ``hnf`` n rows at a time (n generators), so
-no rows x rows transform is ever built; the retract group's Smith form
-likewise never builds its row transform, which no query reads.
+whole presentation, and the cache never evicts.  A check (truss, projection,
+morphism) makes one lookup per presentation; ``word_equal`` makes one per
+query.  The basis is built by folding the relations through ``hnf`` n rows
+at a time (n generators), so no rows x rows transform is ever built; the
+retract group's Smith form likewise never builds its row transform, which
+no query reads.
 """
 
 from __future__ import annotations
@@ -151,20 +153,22 @@ class AbelianHeapPresentation(Frozen):
     __slots__ = ("generators", "relations")
 
     def __init__(self, generators: tuple[str, ...], relations: tuple[RelationVector, ...]):
+        known = frozenset(generators)
         if not generators:
             raise ValueError("a presentation needs at least one generator")
-        if len(set(generators)) != len(generators):
+        if len(known) != len(generators):
             raise ValueError("generators must be distinct")
         for g in generators:
             check_label(g)
         for r in relations:
-            check_support(generators, r)
+            check_support(known, r)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relations", relations)
 
 
-def check_support(generators: tuple[str, ...], w: AffineWord | RelationVector) -> None:
-    known = set(generators)
+def check_support(generators: tuple[str, ...] | frozenset[str], w: AffineWord | RelationVector) -> None:
+    """Every label of ``w`` must be a generator; pass a frozenset to check many words against one."""
+    known = generators if isinstance(generators, frozenset) else set(generators)
     for g in w.support:
         if g not in known:
             raise UnknownGeneratorError(f"unknown generator {g!r}")
@@ -197,6 +201,23 @@ def in_relation_lattice(p: AbelianHeapPresentation, coeffs: Mapping[str, int]) -
     """True when the sum-zero vector lies in the span of the relations of ``p``."""
     vec = [coeffs.get(g, 0) for g in p.generators]
     return not any(residue(_relation_hnf(p), vec))
+
+
+def lattice_membership(p: AbelianHeapPresentation):
+    """A test of many vectors against the relations of ``p``, with one basis lookup for all.
+
+    The test takes (coefficient, word) pairs and tells whether their weighted sum is a relation.
+    """
+    basis, index = _relation_hnf(p), {g: i for i, g in enumerate(p.generators)}
+
+    def member(parts: Iterable[tuple[int, _SparseTerms]]) -> bool:
+        vec = [0] * len(index)
+        for c, w in parts:
+            for g, d in w.terms:
+                vec[index[g]] += c * d
+        return not any(residue(basis, vec))
+
+    return member
 
 
 def word_equal(p: AbelianHeapPresentation, w1: AffineWord, w2: AffineWord) -> bool:
@@ -310,13 +331,14 @@ def induced_morphism(
     On success the linear extension is returned; on failure the first
     offending source relation is the witness.
     """
+    targets = frozenset(dst.generators)
     for g in src.generators:
         if g not in genmap:
             raise ValueError(f"generator map is not total: missing {g!r}")
-        check_support(dst.generators, genmap[g])
+        check_support(targets, genmap[g])
+    in_dst = lattice_membership(dst)
     for rel in src.relations:
-        pushed = combine([(c, genmap[g].as_dict()) for g, c in rel.terms])
-        if not in_relation_lattice(dst, pushed):
+        if not in_dst((c, genmap[g]) for g, c in rel.terms):
             return MorphismReport(ok=False, witness=rel)
     images = {g: genmap[g] for g in src.generators}
     return MorphismReport(
@@ -375,14 +397,15 @@ def truss_from_table(p: AbelianHeapPresentation, table: TrussTable) -> TrussChec
     left and right multiplication by x must stay in the lattice.  Pairs
     missing from a truncated table are skipped and reported as omitted.
     """
-    known = set(p.generators)
+    known = frozenset(p.generators)
     for (g, h), w in table.entries.items():
         if g not in known or h not in known:
             raise UnknownGeneratorError(f"product entry ({g!r}, {h!r}) mentions unknown generators")
-        check_support(p.generators, w)
+        check_support(known, w)
     if table.unit is not None and table.unit not in known:
         raise UnknownGeneratorError(f"unit {table.unit!r} is not a generator")
 
+    member = lattice_membership(p)
     omitted: set[tuple[str, str]] = set()
     for rel in p.relations:
         for x in p.generators:
@@ -396,10 +419,10 @@ def truss_from_table(p: AbelianHeapPresentation, table: TrussTable) -> TrussChec
                         omitted.add(pair)
                         missing = True
                         break
-                    parts.append((c, entry.as_dict()))
+                    parts.append((c, entry))
                 if missing:
                     continue
-                if not in_relation_lattice(p, combine(parts)):
+                if not member(parts):
                     return TrussCheck(
                         ok=False,
                         violation=TrussViolation(relation=rel, side=side, generator=x),
@@ -418,7 +441,7 @@ def truss_from_table(p: AbelianHeapPresentation, table: TrussTable) -> TrussChec
                 if entry is None:
                     omitted.add(pair)
                     continue
-                if not word_equal(p, entry, gen):
+                if not member(((1, entry), (-1, gen))):
                     unit_law = "violated"
 
     return TrussCheck(

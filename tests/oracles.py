@@ -5,16 +5,24 @@ scan-until-fixpoint on explicit (letter, sign) pairs, matrix products are
 schoolbook sums over row lists, determinants use cofactor expansion, Smith
 factors come from gcds of minors, group isomorphy is decided by exhaustive
 backtracking search over bijections, and group axioms, heap axioms and heap
-morphisms are checked on every tuple of elements.  The one exception is
-``smith_with_transforms``: the library's Smith elimination as it was with
-both transforms built eagerly, which pins the lazily built row transform
-and the class coordinates read off the column transform.
+morphisms are checked on every tuple of elements.  Two exceptions are
+copies of library code as it was before a fast path replaced it:
+``smith_with_transforms``, the Smith elimination with both transforms built
+eagerly, which pins the lazily built row transform and the class
+coordinates read off the column transform; and ``parse_spec_by_columns``,
+the spec parser that gave every token its column, which pins the parser's
+specs and diagnostics.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from math import gcd
+
+from k0heap.category import CategorySpec, PushoutEntry, zero_law_violations
+from k0heap.dsl import Diagnostic, ParseResult, split_lines
+from k0heap.heaps import check_label
 
 
 def free_reduce_letters(letters):
@@ -284,3 +292,244 @@ def smith_with_transforms(rows, cols):
             u[t] = [-x for x in u[t]]
         t += 1
     return tuple(a[i][i] for i in range(bound)), u, v
+
+
+# ---------------------------------------------------------------- spec parser
+#
+# The spec parser as it was when every token carried its column: each line is
+# tokenized into (token, column) pairs, every label reference is recorded and
+# resolved at the end, and the handler table is rebuilt per line.  The library
+# now keeps plain tokens and works a column out only for a diagnostic.
+
+_TOKEN = re.compile(r",|[^\s,]+")
+
+
+class ColumnTokenParser:
+    def __init__(self, src: SpecSource):
+        self.src = src
+        self.diagnostics: list[Diagnostic] = []
+        self.objects: list[str] = []
+        self.declared: set[str] = set()
+        self.zero: tuple[str, int, int] | None = None
+        self.unit: tuple[str, int, int] | None = None
+        self.pushouts: list[PushoutEntry] = []
+        self.sums: dict[tuple[str, str], str] = {}
+        # (line, column) of each recorded sum entry, for late zero-law errors
+        self.sum_positions: dict[tuple[str, str], tuple[int, int]] = {}
+        self.products: dict[tuple[str, str], str] = {}
+        # label references checked after all declarations are known
+        self.references: list[tuple[str, int, int]] = []
+
+    def error(self, line: int, col: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic("error", line, col, message))
+
+    def warning(self, line: int, col: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic("warning", line, col, message))
+
+    def run(self) -> ParseResult:
+        for lineno, raw in enumerate(split_lines(self.src.text), start=1):
+            code = raw.split("#", 1)[0]
+            tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
+            if not tokens:
+                continue
+            self.line(lineno, tokens)
+        self.check_references()
+        errors = any(d.severity == "error" for d in self.diagnostics)
+        spec = None
+        if not errors:
+            spec = CategorySpec(
+                objects=tuple(self.objects),
+                pushouts=tuple(self.pushouts),
+                zero=self.zero[0] if self.zero else None,
+                sums=self.sums or None,
+                products=self.products or None,
+                unit=self.unit[0] if self.unit else None,
+            )
+        return ParseResult(spec=spec, diagnostics=tuple(self.diagnostics))
+
+    def line(self, lineno: int, tokens: list[tuple[str, int]]) -> None:
+        head, col = tokens[0]
+        handler = {
+            "object": self.parse_object,
+            "zero": self.parse_zero,
+            "unit": self.parse_unit,
+            "pushout": self.parse_pushout,
+            "sum": self.parse_sum,
+            "product": self.parse_product,
+        }.get(head)
+        if handler is None:
+            self.error(lineno, col, f"unknown directive {head!r}")
+            return
+        handler(lineno, tokens)
+
+    def take_label(self, lineno: int, tokens, i: int, *, declare: bool = False) -> str | None:
+        if i >= len(tokens):
+            last_tok, last_col = tokens[-1]
+            self.error(lineno, last_col + len(last_tok), "missing label")
+            return None
+        tok, col = tokens[i]
+        if not declare and tok in self.declared:  # passed check_label when declared
+            self.references.append((tok, lineno, col))
+            return tok
+        try:
+            check_label(tok)
+        except ValueError as exc:
+            self.error(lineno, col, str(exc))
+            return None
+        if declare:
+            if tok in self.declared:
+                self.error(lineno, col, f"duplicate object {tok!r}")
+                return None
+            self.declared.add(tok)
+        else:
+            self.references.append((tok, lineno, col))
+        return tok
+
+    def expect(self, lineno: int, tokens, i: int, literal: str) -> bool:
+        if i >= len(tokens):
+            last_tok, last_col = tokens[-1]
+            self.error(lineno, last_col + len(last_tok), f"expected {literal!r}")
+            return False
+        tok, col = tokens[i]
+        if tok != literal:
+            self.error(lineno, col, f"expected {literal!r}, got {tok!r}")
+            return False
+        return True
+
+    def no_extra(self, lineno: int, tokens, i: int) -> bool:
+        if i < len(tokens):
+            tok, col = tokens[i]
+            self.error(lineno, col, f"unexpected trailing token {tok!r}")
+            return False
+        return True
+
+    def parse_object(self, lineno: int, tokens) -> None:
+        name = self.take_label(lineno, tokens, 1, declare=True)
+        if name is not None and self.no_extra(lineno, tokens, 2):
+            self.objects.append(name)
+
+    def parse_zero(self, lineno: int, tokens) -> None:
+        if self.zero is not None:
+            self.error(lineno, tokens[0][1], "duplicate zero declaration")
+            return
+        name = self.take_label(lineno, tokens, 1)
+        if name is not None and self.no_extra(lineno, tokens, 2):
+            self.zero = (name, lineno, tokens[1][1])
+
+    def parse_unit(self, lineno: int, tokens) -> None:
+        if self.unit is not None:
+            self.error(lineno, tokens[0][1], "duplicate unit declaration")
+            return
+        name = self.take_label(lineno, tokens, 1)
+        if name is not None and self.no_extra(lineno, tokens, 2):
+            self.unit = (name, lineno, tokens[1][1])
+
+    def parse_pushout(self, lineno: int, tokens) -> None:
+        # pushout APEX -> LEFT [mono]?, APEX -> RIGHT [mono]? => RESULT
+        i = 1
+        apex = self.take_label(lineno, tokens, i)
+        if apex is None or not self.expect(lineno, tokens, i + 1, "->"):
+            return
+        left = self.take_label(lineno, tokens, i + 2)
+        if left is None:
+            return
+        i += 3
+        left_mono = False
+        if i < len(tokens) and tokens[i][0] == "[mono]":
+            left_mono = True
+            i += 1
+        if not self.expect(lineno, tokens, i, ","):
+            return
+        i += 1
+        apex2 = self.take_label(lineno, tokens, i)
+        if apex2 is None or not self.expect(lineno, tokens, i + 1, "->"):
+            return
+        if apex2 != apex:
+            self.error(lineno, tokens[i][1], f"apex mismatch: {apex2!r} does not repeat {apex!r}")
+            return
+        right = self.take_label(lineno, tokens, i + 2)
+        if right is None:
+            return
+        i += 3
+        right_mono = False
+        if i < len(tokens) and tokens[i][0] == "[mono]":
+            right_mono = True
+            i += 1
+        if not self.expect(lineno, tokens, i, "=>"):
+            return
+        result = self.take_label(lineno, tokens, i + 1)
+        if result is None or not self.no_extra(lineno, tokens, i + 2):
+            return
+        if not (left_mono or right_mono):
+            self.warning(
+                lineno,
+                tokens[0][1],
+                "pushout has no [mono] leg: kept in the spec but it generates no relation",
+            )
+        self.pushouts.append(
+            PushoutEntry(
+                apex=apex,
+                left=left,
+                right=right,
+                result=result,
+                left_mono=left_mono,
+                right_mono=right_mono,
+            )
+        )
+
+    def parse_table_line(self, lineno: int, tokens, symbol: str):
+        a = self.take_label(lineno, tokens, 1)
+        if a is None or not self.expect(lineno, tokens, 2, symbol):
+            return None
+        b = self.take_label(lineno, tokens, 3)
+        if b is None or not self.expect(lineno, tokens, 4, "="):
+            return None
+        c = self.take_label(lineno, tokens, 5)
+        if c is None or not self.no_extra(lineno, tokens, 6):
+            return None
+        return a, b, c
+
+    def parse_sum(self, lineno: int, tokens) -> None:
+        parsed = self.parse_table_line(lineno, tokens, "+")
+        if parsed is None:
+            return
+        a, b, c = parsed
+        previous = self.sums.get((a, b))
+        if previous is not None:
+            if previous != c:
+                self.error(lineno, tokens[0][1], f"conflicting sum for ({a}, {b}): {previous} vs {c}")
+            else:
+                self.warning(lineno, tokens[0][1], f"duplicate sum entry for ({a}, {b})")
+            return
+        self.sums[(a, b)] = c
+        self.sum_positions[(a, b)] = (lineno, tokens[0][1])
+
+    def parse_product(self, lineno: int, tokens) -> None:
+        parsed = self.parse_table_line(lineno, tokens, "*")
+        if parsed is None:
+            return
+        a, b, c = parsed
+        previous = self.products.get((a, b))
+        if previous is not None:
+            if previous != c:
+                self.error(
+                    lineno, tokens[0][1], f"conflicting product for ({a}, {b}): {previous} vs {c}"
+                )
+            else:
+                self.warning(lineno, tokens[0][1], f"duplicate product entry for ({a}, {b})")
+            return
+        self.products[(a, b)] = c
+
+    def check_references(self) -> None:
+        for label, lineno, col in self.references:
+            if label not in self.declared:
+                self.error(lineno, col, f"unknown object {label!r}")
+        if self.zero is not None and self.zero[0] in self.declared:
+            for a, b, c in zero_law_violations(self.zero[0], self.sums):
+                line, col = self.sum_positions[(a, b)]
+                self.error(line, col, f"sum {a} + {b} = {c} breaks the zero-object law")
+
+
+def parse_spec_by_columns(src):
+    """``ParseResult`` of the (token, column) parser for a ``SpecSource``."""
+    return ColumnTokenParser(src).run()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from k0heap import presentation
 from k0heap.category import (
     CategorySpec,
     FunctorSpec,
@@ -18,14 +19,18 @@ from k0heap.category import (
     zero_law_violations,
 )
 from k0heap.dsl import SpecSource, parse_spec, print_spec
-from k0heap.instances import finite_sets_spec, vect_spec
+from k0heap.instances import finite_sets_spec, swindle_spec, vect_spec
 from k0heap.presentation import (
     AbelianHeapPresentation,
     AffineWord,
     RelationVector,
+    _relation_hnf,
+    combine,
     in_relation_lattice,
+    induced_morphism,
     normalize_affine,
     retract_group_structure,
+    truss_from_table,
     word_equal,
 )
 from oracles import smith_with_transforms
@@ -314,3 +319,72 @@ def test_set32_equality_and_retract_group():
     assert gs.invariants.rank == 1 and gs.invariants.torsion == ()
     coords = [gs.class_coordinates(gen(str(k)))[0] for k in (1, 2, 32)]
     assert coords in ([1, 2, 32], [-1, -2, -32])
+
+
+# ------------------------------------------ relations written straight into vectors
+
+
+def presentation_by_combine(s, squares):
+    """The construction the presentations replaced: combine, then from_coefficients per relation."""
+    relations = []
+    for left, apex, right, result in squares:
+        coeffs = combine([(1, {left: 1}), (-1, {apex: 1}), (1, {right: 1}), (-1, {result: 1})])
+        if coeffs:
+            relations.append(RelationVector.from_coefficients(coeffs))
+    return AbelianHeapPresentation(generators=s.objects, relations=tuple(relations))
+
+
+def corpus_and_generated_specs(data_dir):
+    for path in sorted((data_dir / "valid").glob("*.cat")):
+        yield path.name, parse_spec(SpecSource(path.read_text())).spec
+    for n in range(1, 13):
+        for generate in (finite_sets_spec, vect_spec, swindle_spec):
+            yield f"{generate.__name__}({n})", generate(n)
+
+
+def test_presentations_equal_the_combine_construction(data_dir):
+    for name, s in corpus_and_generated_specs(data_dir):
+        squares = [(e.left, e.apex, e.right, e.result) for e in s.pushouts if e.qualifies]
+        assert k0_presentation(s) == presentation_by_combine(s, squares), name
+        if s.sums is not None and s.zero is not None:
+            squares = [(a, s.zero, b, c) for (a, b), c in sorted(s.sums.items())]
+            assert split_presentation(s) == presentation_by_combine(s, squares), name
+
+
+@pytest.mark.parametrize("ch", [":", "[", ">"])
+def test_presentations_still_check_every_label(ch):
+    bad = f"b{ch}c"
+    in_a_relation = CategorySpec(objects=("a", bad), pushouts=(entry("a", "a", bad, bad),))
+    in_no_relation = CategorySpec(objects=("0", "a", bad), zero="0", sums={("a", "0"): "a"})
+    for s in (in_a_relation, in_no_relation):
+        assert validate_spec(s) == []
+        with pytest.raises(ValueError):
+            k0_presentation(s)
+    with pytest.raises(ValueError):
+        split_presentation(in_no_relation)
+
+
+def test_checks_look_each_basis_up_once_per_presentation(monkeypatch):
+    queries = []
+    residue = presentation.residue
+    monkeypatch.setattr(presentation, "residue", lambda h, v: queries.append(v) or residue(h, v))
+
+    def run(check, *args):
+        _relation_hnf.cache_clear()
+        queries.clear()
+        result = check(*args)
+        info = _relation_hnf.cache_info()
+        return result, info.hits + info.misses, len(queries)
+
+    for s in (vect_spec(6), swindle_spec(6)):
+        full, split = k0_presentation(s), split_presentation(s)
+        check, lookups, tests = run(truss_from_table, full, truss_table(s))
+        assert check.ok and check.unit_law == "ok"
+        assert lookups == 1 and tests > len(full.relations)
+        report, lookups, tests = run(compare_projection, split, full)
+        assert report.equal
+        assert lookups == 2 and tests == len(split.relations) + len(full.relations)
+        identity = {g: AffineWord.generator(g) for g in full.generators}
+        morphism, lookups, tests = run(induced_morphism, full, full, identity)
+        assert morphism.ok
+        assert lookups == 1 and tests == len(full.relations)

@@ -8,7 +8,7 @@ import pytest
 
 import k0heap
 from k0heap.cli import run_cli
-from k0heap.dsl import SpecSource, parse_spec
+from k0heap.dsl import SpecSource, parse_spec, print_spec
 from k0heap.instances import finite_sets_spec
 
 GOLDEN_CASES = {
@@ -20,6 +20,9 @@ GOLDEN_CASES = {
     "reduce_word.txt": ["reduce", "[a,[b,c,d],e]", "--format", "structured"],
     "demo_cw.txt": ["demo", "cw", "{data}/cw_example.txt", "--format", "structured"],
     "demo_set2.txt": ["demo", "set", "2"],
+    "present_set8.txt": ["present", "{valid}/set8.cat", "--format", "structured"],
+    "project_vect8.txt": ["project", "{valid}/vect8.cat", "--format", "structured"],
+    "truss_swindle8.txt": ["truss-check", "{valid}/swindle8.cat", "--format", "structured"],
 }
 
 
@@ -262,14 +265,18 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def run_module(*argv, module="k0heap.cli"):
-    """Run ``python -m MODULE`` (``python ARGS`` when ``module`` is None) on this checkout's sources."""
+def source_env():
+    """The environment with this checkout's sources first on ``PYTHONPATH``."""
     src = str(Path(k0heap.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def run_module(*argv, module="k0heap.cli"):
+    """Run ``python -m MODULE`` (``python ARGS`` when ``module`` is None) on this checkout's sources."""
     return subprocess.run(
         [sys.executable, *(["-m", module] if module else []), *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=source_env(), timeout=120,
     )
 
 
@@ -291,6 +298,19 @@ def test_package_entry_point_runs_the_cli(data_dir):
     assert f"{bad}:9:1: error: sum 0 + A = B breaks the zero-object law" in proc.stderr
     assert f"{bad}:11:3: error: sum B + 0 = A breaks the zero-object law" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    spec = tmp_path / "set32.cat"
+    spec.write_text(print_spec(finite_sets_spec(32)))  # its presentation is far larger than a pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "k0heap", "present", str(spec)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(),
+    )
+    assert proc.stdout.readline() == b"generator empty\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
 
 
 FOOTPRINT = """

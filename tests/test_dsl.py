@@ -15,7 +15,8 @@ from k0heap.dsl import (
     print_spec,
 )
 from k0heap.heaps import RESERVED_LABEL_CHARS, check_label
-from k0heap.instances import finite_sets_spec
+from k0heap.instances import finite_sets_spec, swindle_spec, vect_spec
+from oracles import parse_spec_by_columns
 
 EXPECT = re.compile(r"#\s*expect:\s*(error|warning)\s+(\d+)\s+(\d+)\s+(.*)")
 
@@ -261,3 +262,33 @@ def test_fuzzed_specs_end_in_positioned_diagnostics_or_a_round_trip(text):
         again = parse_text(printed)
         assert again.spec == result.spec
         assert print_spec(again.spec) == printed
+
+
+# ------------------------------------------------- against the column parser
+#
+# The parser keeps plain tokens and works a column out only for a diagnostic
+# or an unresolved reference; the parser it replaced gave every token its
+# column.  Both must give the same spec and the same diagnostics.
+
+
+def assert_parses_like_the_column_parser(text):
+    src = SpecSource(text=text, name="<test>")
+    new, old = parse_spec(src), parse_spec_by_columns(src)
+    assert new.diagnostics == old.diagnostics
+    assert new.spec == old.spec
+    if new.spec is not None:
+        assert new.spec.pushouts == old.spec.pushouts  # in file order too
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec_texts())
+def test_fuzzed_specs_parse_as_the_column_parser_parses_them(text):
+    assert_parses_like_the_column_parser(text)
+
+
+def test_corpus_and_generated_specs_parse_as_the_column_parser_parses_them(data_dir):
+    for path in malformed_files(data_dir) + valid_files(data_dir):
+        assert_parses_like_the_column_parser(path.read_text())
+    for n in range(1, 9):
+        for generate in (finite_sets_spec, vect_spec, swindle_spec):
+            assert_parses_like_the_column_parser(print_spec(generate(n)))
