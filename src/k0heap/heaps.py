@@ -5,17 +5,18 @@ A heap is a set with a ternary bracket satisfying para-associativity
 Free heap words embed into the free group as alternating products
 x1 * x2^-1 * x3 * ..., so normal forms are computed by free reduction:
 adjacent letters always carry opposite signs, hence cancel exactly when
-equal.  Finite models carry read-only operation tables, validated on
-construction: a group table in O(n^2 log n), checking associativity on a
-generating set only (Light's test), and a heap table in O(n^3) through its
-retract group.
+equal.  Finite models carry read-only tables, validated on construction: a
+group table in O(n^2 log n) by Light's test, a heap table in one pass and
+O(n^3) through its retract group; entries outside the carrier are rejected.
+Retracts of a heap and heaps of a group are not validated again.
 
 All values are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import chain, compress, filterfalse, product, repeat
+from operator import ne
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -171,47 +172,62 @@ class GroupModel(Frozen):
             raise GroupAxiomError("a group needs at least the identity element")
         if self.identity not in index:
             raise GroupAxiomError(f"identity {self.identity!r} not in carrier")
-        object.__setattr__(self, "op", MappingProxyType(dict(self.op)))
-        object.__setattr__(self, "inverse", MappingProxyType(dict(self.inverse)))
-        op, inverse, at = self.op, self.inverse, index.get
-        table, inv = [], []  # table[i][j] is the index of elems[i] * elems[j]
-        for a in elems:
-            inv.append(at(inverse.get(a, _MISSING), -1))
-            if inv[-1] < 0:
-                raise GroupAxiomError(f"inverse table not total at {a!r}")
-            table.append([at(op.get((a, b), _MISSING), -1) for b in elems])
-            if -1 in table[-1]:
-                b = elems[table[-1].index(-1)]
-                raise GroupAxiomError(f"operation table not total at ({a!r}, {b!r})")
-        e = index[self.identity]
-        for i, a in enumerate(elems):
-            if table[e][i] != i or table[i][e] != i:
-                raise GroupAxiomError("identity law fails", witness=(a,))
-            if table[i][inv[i]] != e:
-                raise GroupAxiomError("inverse law fails", witness=(a,))
-        closure = {e}  # passes Light's test by the identity law
-        for g, row_g in enumerate(table):
-            if g in closure:
-                continue
-            for x, row_x in enumerate(table):
-                left, right = table[row_x[g]], [row_x[z] for z in row_g]
-                if left != right:
-                    y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
-                    raise GroupAxiomError("associativity fails", witness=(elems[x], elems[g], elems[y]))
-            fresh = {g}
-            while fresh:
-                closure |= fresh
-                fresh = {p for z in fresh for w in closure for p in (table[z][w], table[w][z])} - closure
+        op, inverse = dict(self.op), dict(self.inverse)
+        object.__setattr__(self, "op", MappingProxyType(op))
+        object.__setattr__(self, "inverse", MappingProxyType(inverse))
+        table, inv = _index_tables(elems, index, op, inverse)
+        if len(inverse) != len(elems):
+            stray = next(filterfalse(index.__contains__, inverse))
+            raise GroupAxiomError(f"inverse table has a stray entry at {stray!r}")
+        if len(op) != len(elems) ** 2:
+            stray = next(filterfalse(set(product(elems, repeat=2)).__contains__, op))
+            raise GroupAxiomError(f"operation table has a stray entry at {stray!r}")
+        _check_group(elems, table, inv, index[self.identity])
+
+
+def _index_tables(elems, index, op, inverse) -> tuple[list[list[int]], list[int]]:
+    """table[i][j] and inv[i], the indices of elems[i] * elems[j] and elems[i]^-1; rejects tables not total."""
+    table, inv, at = [], [], index.get
+    for a in elems:
+        inv.append(at(inverse.get(a, _MISSING), -1))
+        if inv[-1] < 0:
+            raise GroupAxiomError(f"inverse table not total at {a!r}")
+        table.append([at(op.get((a, b), _MISSING), -1) for b in elems])
+        if -1 in table[-1]:
+            raise GroupAxiomError(f"operation table not total at ({a!r}, {elems[table[-1].index(-1)]!r})")
+    return table, inv
+
+
+def _check_group(elems, table: list[list[int]], inv: list[int], e: int) -> None:
+    """The group laws of total index tables, with e the index of the identity."""
+    for i, a in enumerate(elems):
+        if table[e][i] != i or table[i][e] != i:
+            raise GroupAxiomError("identity law fails", witness=(a,))
+        if table[i][inv[i]] != e:
+            raise GroupAxiomError("inverse law fails", witness=(a,))
+    closure = {e}  # passes Light's test by the identity law
+    for g, row_g in enumerate(table):
+        if g in closure:
+            continue
+        for x, row_x in enumerate(table):
+            left, right = table[row_x[g]], [row_x[z] for z in row_g]
+            if left != right:
+                y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
+                raise GroupAxiomError("associativity fails", witness=(elems[x], elems[g], elems[y]))
+        fresh = {g}
+        while fresh:
+            closure |= fresh
+            fresh = {p for z in fresh for w in closure for p in (table[z][w], table[w][z])} - closure
 
 
 class FiniteHeapModel(Frozen):
     """Finite heap as a read-only copy of a ternary table, validated in O(n^3).
 
     The table is a heap exactly when its retract at e = carrier[0] is a group
-    (checked by GroupModel) and [a,b,c] = a * b^-1 * c throughout, for then it
-    is the heap of that group.  Each entry is read once; a table that is not
-    total is rejected before any law is checked.  An empty carrier is allowed
-    (all axioms hold vacuously) but has no retracts, having no basepoint.
+    and [a,b,c] = a * b^-1 * c throughout, for then it is the heap of that
+    group.  All entries are read in one pass; a table that is not total or has
+    a stray entry is rejected before any law is checked.  An empty carrier is
+    allowed (all axioms hold vacuously) but has no retracts, having no basepoint.
     """
 
     __slots__ = ("carrier", "ternary")
@@ -223,51 +239,61 @@ class FiniteHeapModel(Frozen):
 
     def __post_init__(self):
         elems = self.carrier
-        members = set(elems)
-        if len(members) != len(elems):
+        index = {x: i for i, x in enumerate(elems)}
+        if len(index) != len(elems):
             raise HeapAxiomError("carrier labels must be distinct")
-        t = MappingProxyType(dict(self.ternary))
-        object.__setattr__(self, "ternary", t)
-        values = [t.get(key, _MISSING) for key in product(elems, repeat=3)]
-        if not members.issuperset(values):
-            key = next(key for key, v in zip(product(elems, repeat=3), values) if v not in members)
+        t = dict(self.ternary)
+        values = list(map(t.get, product(elems, repeat=3), repeat(_MISSING)))
+        object.__setattr__(self, "ternary", MappingProxyType(t))
+        if not set(values) <= index.keys():
+            key = next(key for key, v in zip(product(elems, repeat=3), values) if v not in index)
             raise HeapAxiomError(f"ternary table not total at {key}")
-        if not elems:
-            return
-        e = elems[0]
+        if len(t) != len(values):  # t is total, so only an entry outside carrier^3 makes it longer
+            stray = next(filterfalse(set(product(elems, repeat=3)).__contains__, t))
+            raise HeapAxiomError(f"ternary table has a stray entry at {stray!r}")
+        n, at = len(elems), index.__getitem__  # an empty carrier passes every check below
+        table = [list(map(at, values[a * n * n:a * n * n + n])) for a in range(n)]  # [a,e,b]
+        inv = [at(values[a * n]) for a in range(n)]  # [e,a,e]
         try:
-            g = retract_group(self, e)
+            _check_group(elems, table, inv, 0)
         except GroupAxiomError as exc:
-            raise HeapAxiomError(f"retract at {e!r}: {exc}", witness=exc.witness) from exc
-        expected = _bracket_values(g)
+            raise HeapAxiomError(f"retract at {elems[0]!r}: {exc}", witness=exc.witness) from exc
+        expected = _bracket_values(elems, table, inv)
         if values != expected:
-            key = next(key for key, v, w in zip(product(elems, repeat=3), values, expected) if v != w)
-            raise HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {e!r}", witness=key)
+            key = next(compress(product(elems, repeat=3), map(ne, values, expected)))
+            raise HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {elems[0]!r}", witness=key)
+
+
+def _assembled(cls, *fields):
+    """A ``cls`` value from fields known to be valid: no validation runs."""
+    value = object.__new__(cls)
+    for name, field in zip(cls._fields, fields):
+        object.__setattr__(value, name, field)
+    return value
 
 
 def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:
-    """Group on the same carrier with a + b := [a, e, b] and identity e."""
+    """Group on the same carrier with a + b := [a, e, b] and identity e; a heap's retract is a group: no check runs."""
     if e not in h.carrier:
         raise ValueError(f"basepoint {e!r} not in carrier")
-    op = {(a, b): h.ternary[(a, e, b)] for a in h.carrier for b in h.carrier}
-    inverse = {a: h.ternary[(e, a, e)] for a in h.carrier}
-    return GroupModel(carrier=h.carrier, op=op, identity=e, inverse=inverse)
+    elems, at = h.carrier, h.ternary.__getitem__
+    op = dict(zip(product(elems, repeat=2), map(at, product(elems, (e,), elems))))
+    inverse = dict(zip(elems, map(at, product((e,), elems, (e,)))))
+    return _assembled(GroupModel, elems, MappingProxyType(op), e, MappingProxyType(inverse))
 
 
-def _bracket_values(g: GroupModel) -> list:
-    """a * b^-1 * c in product(carrier, repeat=3) order, with a * b^-1 once per (a, b)."""
-    op, inverse, elems = g.op, g.inverse, g.carrier
-    rows = {x: [op[(x, c)] for c in elems] for x in elems}
-    return list(chain.from_iterable(rows[op[(a, inverse[b])]] for a in elems for b in elems))
+def _bracket_values(elems, table: list[list[int]], inv: list[int]) -> list:
+    """a * b^-1 * c in product(elems, repeat=3) order, from index tables, with a * b^-1 once per (a, b)."""
+    rows = [[elems[k] for k in row] for row in table]
+    return list(chain.from_iterable(rows[row[j]] for row in table for j in inv))
 
 
 def heap_from_group(g: GroupModel) -> FiniteHeapModel:
-    """Heap with bracket [a, b, c] = a * b^-1 * c; retracting at the identity undoes this."""
-    heap = object.__new__(FiniteHeapModel)  # a validated group's heap is a heap: skip __post_init__
-    object.__setattr__(heap, "carrier", g.carrier)
-    table = dict(zip(product(g.carrier, repeat=3), _bracket_values(g)))
-    object.__setattr__(heap, "ternary", MappingProxyType(table))
-    return heap
+    """Heap with bracket [a, b, c] = a * b^-1 * c, not validated again; retracting at the identity undoes this."""
+    elems = g.carrier
+    table, inv = _index_tables(elems, {x: i for i, x in enumerate(elems)}, g.op, g.inverse)
+    ternary = dict(zip(product(elems, repeat=3), _bracket_values(elems, table, inv)))
+    return _assembled(FiniteHeapModel, elems, MappingProxyType(ternary))
 
 
 class MorphismCheck(NamedTuple):

@@ -178,30 +178,23 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(a, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows)
 
 
-def _pivot_positions(h: IntMatrix) -> list[tuple[int, int]]:
-    pivots = []
-    for i in range(h.rows):
-        row = h.row(i)
-        for c, x in enumerate(row):
-            if x:
-                pivots.append((i, c))
-                break
-    return pivots
+def pivot_rows(h: IntMatrix) -> list[tuple[int, tuple[int, ...]]]:
+    """(pivot column, row) for each nonzero row of a matrix in row HNF, in order."""
+    rows = (h.row(i) for i in range(h.rows))
+    return [(next(c for c, x in enumerate(row) if x), row) for row in rows if any(row)]
 
 
-def residue(h: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    """Reduce ``v`` against a matrix already in row HNF.
+def residue(h: IntMatrix, v: Sequence[int], pivots: list | None = None) -> tuple[int, ...]:
+    """Reduce ``v`` against a matrix already in row HNF; a caller with many ``v`` passes ``pivot_rows(h)``.
 
     The result is zero exactly when ``v`` lies in the row span of ``h``.
     """
     if len(v) != h.cols:
         raise ValueError(f"vector length {len(v)} does not match {h.cols} columns")
     w = list(v)
-    for i, c in _pivot_positions(h):
-        p = h.row(i)[c]
-        q = w[c] // p
+    for c, row in pivot_rows(h) if pivots is None else pivots:
+        q = w[c] // row[c]
         if q:
-            row = h.row(i)
             for j in range(c, h.cols):
                 w[j] -= q * row[j]
     return tuple(w)

@@ -29,7 +29,7 @@ from typing import ClassVar, Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen
 from .heaps import check_label
-from .lattice import IntMatrix, InvariantFactors, hnf, residue, smith_decomposition
+from .lattice import IntMatrix, InvariantFactors, hnf, pivot_rows, residue, smith_decomposition
 
 
 class UnknownGeneratorError(ValueError):
@@ -174,9 +174,15 @@ def check_support(generators: tuple[str, ...] | frozenset[str], w: AffineWord | 
             raise UnknownGeneratorError(f"unknown generator {g!r}")
 
 
-def _relation_rows(p: AbelianHeapPresentation, labels: tuple[str, ...]) -> list[list[int]]:
-    """The relation matrix of ``p`` over the coordinates ``labels``."""
-    return [[d.get(g, 0) for g in labels] for d in (r.as_dict() for r in p.relations)]
+def _relation_matrix(p: AbelianHeapPresentation, labels: tuple[str, ...]) -> IntMatrix:
+    """The relation matrix of ``p`` over the coordinates ``labels``; other labels' terms are dropped."""
+    n, index = len(labels), {g: j for j, g in enumerate(labels)}
+    entries = [0] * (n * len(p.relations))
+    for k, r in enumerate(p.relations):
+        for g, c in r.terms:
+            if g in index:
+                entries[k * n + index[g]] = c
+    return IntMatrix(len(p.relations), n, tuple(entries))
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +195,7 @@ def _relation_hnf(p: AbelianHeapPresentation) -> IntMatrix:
     whole matrix would give.
     """
     n = len(p.generators)
-    rows = _relation_rows(p, p.generators)
+    rows = _relation_matrix(p, p.generators).to_rows()
     basis: list[list[int]] = []
     for start in range(0, len(rows), n):
         h, _ = hnf(IntMatrix.from_rows(basis + rows[start:start + n], cols=n))
@@ -204,18 +210,19 @@ def in_relation_lattice(p: AbelianHeapPresentation, coeffs: Mapping[str, int]) -
 
 
 def lattice_membership(p: AbelianHeapPresentation):
-    """A test of many vectors against the relations of ``p``, with one basis lookup for all.
+    """A test of many vectors against the relations of ``p``, with one basis lookup and pivot scan for all.
 
     The test takes (coefficient, word) pairs and tells whether their weighted sum is a relation.
     """
     basis, index = _relation_hnf(p), {g: i for i, g in enumerate(p.generators)}
+    pivots = pivot_rows(basis)
 
     def member(parts: Iterable[tuple[int, _SparseTerms]]) -> bool:
         vec = [0] * len(index)
         for c, w in parts:
             for g, d in w.terms:
                 vec[index[g]] += c * d
-        return not any(residue(basis, vec))
+        return not any(residue(basis, vec, pivots))
 
     return member
 
@@ -281,8 +288,7 @@ def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStruc
     if base not in p.generators:
         raise UnknownGeneratorError(f"basepoint {base!r} is not a generator")
     axis = tuple(g for g in p.generators if g != base)
-    rows = _relation_rows(p, axis)
-    dec = smith_decomposition(IntMatrix.from_rows(rows, cols=len(axis)))
+    dec = smith_decomposition(_relation_matrix(p, axis))
     r = dec.pivot_count
     n = len(axis)
     free_columns = tuple(range(r, n))

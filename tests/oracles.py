@@ -163,8 +163,9 @@ def group_axiom_failure(carrier, op, identity, inverse):
     """First group-axiom failure as (message, witness), or None: the O(n^3) loops.
 
     Checks, in this order, distinct labels, the identity in the carrier,
-    totality of both tables, the identity and inverse laws, and associativity
-    on every triple; the messages and witnesses are those of ``GroupModel``.
+    totality of both tables, that neither has an entry outside the carrier,
+    the identity and inverse laws, and associativity on every triple; the
+    messages and witnesses are those of ``GroupModel``.
     """
     members = set(carrier)
     if len(members) != len(carrier):
@@ -179,6 +180,12 @@ def group_axiom_failure(carrier, op, identity, inverse):
         for b in carrier:
             if (a, b) not in op or op[(a, b)] not in members:
                 return (f"operation table not total at ({a!r}, {b!r})", ())
+    for a in inverse:
+        if a not in members:
+            return (f"inverse table has a stray entry at {a!r}", ())
+    for key in op:
+        if not (isinstance(key, tuple) and len(key) == 2 and members.issuperset(key)):
+            return (f"operation table has a stray entry at {key!r}", ())
     for a in carrier:
         if op[(identity, a)] != a or op[(a, identity)] != a:
             return ("identity law fails", (a,))
@@ -193,13 +200,17 @@ def group_axiom_failure(carrier, op, identity, inverse):
 def heap_axiom_failure(carrier, table):
     """First heap-axiom failure of a ternary table by exhaustive search, or None.
 
-    Checks totality, the cancellation laws [x,x,y] = y = [y,x,x] and
-    para-associativity [[a,b,c],d,e] = [a,b,[c,d,e]] on every tuple, O(n^5).
+    Checks totality, that no entry lies outside carrier^3, the cancellation
+    laws [x,x,y] = y = [y,x,x] and para-associativity
+    [[a,b,c],d,e] = [a,b,[c,d,e]] on every tuple, O(n^5).
     """
     members = set(carrier)
     for key in itertools.product(carrier, repeat=3):
         if table.get(key) not in members:
             return ("total", key)
+    for key in table:
+        if not (isinstance(key, tuple) and len(key) == 3 and members.issuperset(key)):
+            return ("stray", key)
     for x, y in itertools.product(carrier, repeat=2):
         if table[(x, x, y)] != y or table[(y, x, x)] != y:
             return ("cancellation", (x, y))

@@ -365,15 +365,19 @@ def test_presentations_still_check_every_label(ch):
 
 
 def test_checks_look_each_basis_up_once_per_presentation(monkeypatch):
-    queries = []
-    residue = presentation.residue
-    monkeypatch.setattr(presentation, "residue", lambda h, v: queries.append(v) or residue(h, v))
+    # every query passes the pivots its check found once per basis lookup
+    queries, scans = [], []
+    residue, pivot_rows = presentation.residue, presentation.pivot_rows
+    monkeypatch.setattr(presentation, "residue", lambda h, v, pivots: queries.append(v) or residue(h, v, pivots))
+    monkeypatch.setattr(presentation, "pivot_rows", lambda h: scans.append(h) or pivot_rows(h))
 
     def run(check, *args):
         _relation_hnf.cache_clear()
         queries.clear()
+        scans.clear()
         result = check(*args)
         info = _relation_hnf.cache_info()
+        assert len(scans) == info.hits + info.misses
         return result, info.hits + info.misses, len(queries)
 
     for s in (vect_spec(6), swindle_spec(6)):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +372,30 @@ def test_non_total_heap_table_is_rejected_before_any_law():
         FiniteHeapModel(carrier=elems, ternary=broken)
 
 
+def test_entries_outside_the_carrier_are_rejected():
+    h, g = heap_from_group(cyclic_group(2)), cyclic_group(2)
+    stray_heap = {**h.ternary, ("x", "y", "z"): "junk", ("0",): "0"}
+    assert heap_axiom_failure(h.carrier, stray_heap) == ("stray", ("x", "y", "z"))
+    with pytest.raises(HeapAxiomError, match=r"^ternary table has a stray entry at \('x', 'y', 'z'\)$"):
+        FiniteHeapModel(carrier=("0", "1"), ternary=stray_heap)
+    with pytest.raises(HeapAxiomError, match=r"^ternary table has a stray entry at 'abc'$"):
+        FiniteHeapModel(carrier=(), ternary={"abc": "a"})
+    del stray_heap[("1", "1", "1")]  # not total and stray: totality is reported first
+    with pytest.raises(HeapAxiomError, match="not total"):
+        FiniteHeapModel(carrier=("0", "1"), ternary=stray_heap)
+
+    cases = [
+        ({**g.op, ("0", "2"): "0", "01": "1"}, g.inverse, "operation table has a stray entry at ('0', '2')"),
+        (g.op, {**g.inverse, "2": "0"}, "inverse table has a stray entry at '2'"),
+        ({**g.op, ("0", "2"): "0"}, {**g.inverse, "2": "0"}, "inverse table has a stray entry at '2'"),
+    ]
+    for op, inverse, message in cases:
+        assert group_axiom_failure(g.carrier, op, "0", inverse) == (message, ())
+        with pytest.raises(GroupAxiomError) as exc:
+            GroupModel(carrier=g.carrier, op=op, identity="0", inverse=inverse)
+        assert (str(exc.value), exc.value.witness) == (message, ())
+
+
 def group_model_args(elems, mul, inv):
     """(carrier, op, identity, inverse) of a group given by callables, identity first."""
     op = {(a, b): mul(a, b) for a in elems for b in elems}
@@ -489,6 +514,85 @@ def test_heap_from_group_equals_the_validated_heap(case):
     with pytest.raises(TypeError):
         h.ternary[key] = carrier[-1]
     assert h.ternary[key] == carrier[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_heaps())
+def test_retracts_equal_the_validated_group_at_every_basepoint(case):
+    # retract_group skips validation; GroupModel validates the same tables
+    elems, table = case
+    h = FiniteHeapModel(carrier=elems, ternary=table)
+    for e in elems:
+        op = {(a, b): table[(a, e, b)] for a, b in itertools.product(elems, repeat=2)}
+        inverse = {a: table[(e, a, e)] for a in elems}
+        g = retract_group(h, e)
+        assert g == GroupModel(carrier=elems, op=op, identity=e, inverse=inverse)
+        assert list(g.op) == list(op) and list(g.inverse) == list(inverse)
+        with pytest.raises(TypeError):
+            g.op[(e, e)] = e
+
+
+def zmod_product(*moduli):
+    """Z/m1 x Z/m2 x ... as (carrier, multiplication, inverse), labels like '1.7', the identity first."""
+    elems = tuple(".".join(map(str, x)) for x in itertools.product(*(range(m) for m in moduli)))
+
+    def mul(x, y):
+        return ".".join(str((int(a) + int(b)) % m) for a, b, m in zip(x.split("."), y.split("."), moduli))
+
+    def inv(x):
+        return ".".join(str(-int(a) % m) for a, m in zip(x.split("."), moduli))
+
+    return elems, mul, inv
+
+
+def first_heap_failure(carrier, table):
+    """(message, witness) of FiniteHeapModel's rejection by brute force: the retract
+    at carrier[0] by exhaustive search, then [a,b,c] = a*b^-1*c in product order."""
+    e = carrier[0]
+    op = {(a, b): table[(a, e, b)] for a, b in itertools.product(carrier, repeat=2)}
+    inverse = {a: table[(e, a, e)] for a in carrier}
+    failure = group_axiom_failure(carrier, op, e, inverse)
+    if failure is not None:
+        return f"retract at {e!r}: {failure[0]}", failure[1]
+    for a, b, c in itertools.product(carrier, repeat=3):
+        if table[(a, b, c)] != op[(op[(a, inverse[b])], c)]:
+            return f"[a,b,c] != a*b^-1*c at base {e!r}", (a, b, c)
+    return None
+
+
+@pytest.mark.parametrize("moduli", [(16,), (2, 8)])
+def test_order_16_perturbations_fail_where_a_brute_force_scan_fails(moduli):
+    elems, mul, inv = zmod_product(*moduli)
+    rng = random.Random(16)
+    for carrier in (elems, tuple(rng.sample(elems, len(elems)))):
+        table = group_heap_table(carrier, mul, inv)
+        e = carrier[0]
+        keys = (
+            [(a, e, b) for a, b in itertools.product(carrier, repeat=2)]  # retract products
+            + [(e, a, e) for a in carrier]  # retract inverses
+            + sorted(table)
+        )
+        kinds = set()
+        for key in rng.sample(keys[: len(carrier) ** 2], 12) + rng.sample(keys[len(carrier) ** 2:], 28):
+            changed = {**table, key: rng.choice([x for x in carrier if x != table[key]])}
+            message, witness = first_heap_failure(carrier, changed)
+            with pytest.raises(HeapAxiomError) as exc:
+                FiniteHeapModel(carrier=carrier, ternary=changed)
+            assert str(exc.value) == message
+            if message.endswith("associativity fails"):  # Light's test may name another failing triple
+                assert witness_is_genuine(changed, e, exc.value)
+            else:
+                assert exc.value.witness == witness
+            kinds.add(message.split(": ")[-1].split(" at ")[0])
+        assert {"identity law fails", "[a,b,c] != a*b^-1*c"} <= kinds
+
+
+@pytest.mark.parametrize("group", [cyclic_group(16), cyclic_group(64)], ids=["order16", "order64"])
+def test_heaps_rebuilt_from_their_tables_are_equal(group):
+    h = heap_from_group(group)
+    rebuilt = FiniteHeapModel(h.carrier, dict(h.ternary))
+    assert rebuilt == h
+    assert retract_group(rebuilt, "5") == retract_group(h, "5")
 
 
 def test_small_groups_and_the_loop_are_classified():
