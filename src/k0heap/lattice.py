@@ -8,8 +8,8 @@ elimination is kept in check by always pivoting on a minimal-absolute-value
 nonzero entry.
 
 Only the transforms a caller reads are built.  ``hnf`` returns its rows x
-rows transform, so a caller with a tall matrix folds the rows in through
-``hnf`` in blocks (see ``presentation``); ``smith_decomposition`` builds the
+rows transform, so a caller with many rows inserts them into a Hermite basis
+one at a time (see ``presentation``); ``smith_decomposition`` builds the
 column transform at once and the rows x rows row transform on first read.
 
 Matrices are immutable values; every function returns fresh objects.
@@ -184,7 +184,7 @@ def pivot_rows(h: IntMatrix) -> list[tuple[int, tuple[int, ...]]]:
     return [(next(c for c, x in enumerate(row) if x), row) for row in rows if any(row)]
 
 
-def residue(h: IntMatrix, v: Sequence[int], pivots: list | None = None) -> tuple[int, ...]:
+def residue(h: IntMatrix, v: Sequence[int], pivots: Sequence | None = None) -> tuple[int, ...]:
     """Reduce ``v`` against a matrix already in row HNF; a caller with many ``v`` passes ``pivot_rows(h)``.
 
     The result is zero exactly when ``v`` lies in the row span of ``h``.

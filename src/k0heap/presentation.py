@@ -5,19 +5,16 @@ over generators with coefficient sum 1 (the abelian normal form of an
 iterated bracket, since [a, b, c] = a - b + c once a basepoint exists).
 Relations are sum-zero vectors; two words are equal exactly when their
 difference lies in the integer span of the relations, decided through the
-Hermite normal form of the relation matrix.  Retract groups are read off
-the Smith normal form in basepoint-relative coordinates.
+Hermite normal form of that lattice.  Retract groups are read off the
+Smith normal form in basepoint-relative coordinates.
 
-Presentations are immutable and hashable.  The Hermite basis of each
-presentation's relation matrix, its rank nonzero rows only, is kept in one
-module-level, unbounded ``lru_cache`` keyed by the presentation's value:
-repeated queries on an equal presentation reuse it, each lookup hashes the
-whole presentation, and the cache never evicts.  A check (truss, projection,
-morphism) makes one lookup per presentation; ``word_equal`` makes one per
-query.  The basis is built by folding the relations through ``hnf`` n rows
-at a time (n generators), so no rows x rows transform is ever built; the
-retract group's Smith form likewise never builds its row transform, which
-no query reads.
+Presentations are immutable and hashable.  Each presentation's Hermite
+basis (its rank nonzero rows) is built by inserting the relations one at a
+time and kept with its pivot rows in a fixed-size module-level
+``lru_cache`` keyed by the presentation's value, so each lookup hashes the
+whole presentation.  A check (truss, projection, morphism) makes one lookup
+per presentation, ``word_equal`` one per query.  The retract group's Smith
+form is taken from that basis: no matrix with a row per relation is built.
 """
 
 from __future__ import annotations
@@ -174,48 +171,45 @@ def check_support(generators: tuple[str, ...] | frozenset[str], w: AffineWord | 
             raise UnknownGeneratorError(f"unknown generator {g!r}")
 
 
-def _relation_matrix(p: AbelianHeapPresentation, labels: tuple[str, ...]) -> IntMatrix:
-    """The relation matrix of ``p`` over the coordinates ``labels``; other labels' terms are dropped."""
-    n, index = len(labels), {g: j for j, g in enumerate(labels)}
-    entries = [0] * (n * len(p.relations))
-    for k, r in enumerate(p.relations):
-        for g, c in r.terms:
-            if g in index:
-                entries[k * n + index[g]] = c
-    return IntMatrix(len(p.relations), n, tuple(entries))
+@lru_cache(maxsize=8)  # more presentations than the warm-query workload keeps live
+def _relation_hnf(p: AbelianHeapPresentation) -> tuple[IntMatrix, tuple, Mapping[str, int]]:
+    """The Hermite basis of the relations of ``p`` (rank x n), its pivot rows and the generator index.
 
-
-@lru_cache(maxsize=None)
-def _relation_hnf(p: AbelianHeapPresentation) -> IntMatrix:
-    """The nonzero rows of the relation matrix's Hermite form, rank x n.
-
-    Relations are folded into the basis n rows at a time, so each ``hnf``
-    sees at most 2n rows and its discarded transform is at most (2n)^2.
-    The Hermite form of a lattice is unique, so the basis is the one the
-    whole matrix would give.
+    A relation with a nonzero residue against the basis so far runs ``hnf``
+    on the basis plus that residue, at most rank + 1 rows.  The Hermite form
+    of a lattice is unique, so the basis is the one the whole matrix gives.
     """
-    n = len(p.generators)
-    rows = _relation_matrix(p, p.generators).to_rows()
-    basis: list[list[int]] = []
-    for start in range(0, len(rows), n):
-        h, _ = hnf(IntMatrix.from_rows(basis + rows[start:start + n], cols=n))
-        basis = [row for row in h.to_rows() if any(row)]
-    return IntMatrix.from_rows(basis, cols=n)
+    n, index = len(p.generators), {g: j for j, g in enumerate(p.generators)}
+    basis, pivots = IntMatrix(0, n, ()), []
+    for r in p.relations:
+        vec = [0] * n
+        for g, c in r.terms:
+            vec[index[g]] = c
+        rest = residue(basis, vec, pivots)
+        if any(rest):
+            h, _ = hnf(IntMatrix.from_rows(basis.to_rows() + [rest], cols=n))
+            basis = IntMatrix.from_rows([row for row in h.to_rows() if any(row)], cols=n)
+            pivots = pivot_rows(basis)
+    return basis, tuple(pivots), MappingProxyType(index)
 
 
 def in_relation_lattice(p: AbelianHeapPresentation, coeffs: Mapping[str, int]) -> bool:
     """True when the sum-zero vector lies in the span of the relations of ``p``."""
-    vec = [coeffs.get(g, 0) for g in p.generators]
-    return not any(residue(_relation_hnf(p), vec))
+    basis, pivots, index = _relation_hnf(p)
+    vec = [0] * len(index)
+    for g, c in coeffs.items():
+        if g not in index:
+            raise UnknownGeneratorError(f"unknown generator {g!r}")
+        vec[index[g]] = c
+    return not any(residue(basis, vec, pivots))
 
 
 def lattice_membership(p: AbelianHeapPresentation):
-    """A test of many vectors against the relations of ``p``, with one basis lookup and pivot scan for all.
+    """A test of many vectors against the relations of ``p``, with one basis lookup for all.
 
     The test takes (coefficient, word) pairs and tells whether their weighted sum is a relation.
     """
-    basis, index = _relation_hnf(p), {g: i for i, g in enumerate(p.generators)}
-    pivots = pivot_rows(basis)
+    basis, pivots, index = _relation_hnf(p)
 
     def member(parts: Iterable[tuple[int, _SparseTerms]]) -> bool:
         vec = [0] * len(index)
@@ -281,14 +275,16 @@ class GroupStructure(Frozen):
 def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStructure:
     """Structure of the retract group at ``base``.
 
-    Substituting g -> (g - base) identifies the sum-zero sublattice with
-    Z^(n-1); the Smith normal form of the relation matrix in those
-    coordinates yields invariant factors and a canonical coordinate map.
+    Dropping the base column, i.e. g -> (g - base), is injective on sum-zero
+    vectors; the Smith form of the Hermite basis in those coordinates yields
+    invariant factors and a coordinate map fixed by the lattice and the base.
     """
     if base not in p.generators:
         raise UnknownGeneratorError(f"basepoint {base!r} is not a generator")
     axis = tuple(g for g in p.generators if g != base)
-    dec = smith_decomposition(_relation_matrix(p, axis))
+    k = p.generators.index(base)
+    rows = [row[:k] + row[k + 1:] for row in _relation_hnf(p)[0].to_rows()]
+    dec = smith_decomposition(hnf(IntMatrix.from_rows(rows, cols=len(axis)))[0])
     r = dec.pivot_count
     n = len(axis)
     free_columns = tuple(range(r, n))

@@ -5,7 +5,8 @@ scan-until-fixpoint on explicit (letter, sign) pairs, matrix products are
 schoolbook sums over row lists, determinants use cofactor expansion, Smith
 factors come from gcds of minors, group isomorphy is decided by exhaustive
 backtracking search over bijections, and group axioms, heap axioms and heap
-morphisms are checked on every tuple of elements.  Two exceptions are
+morphisms are checked on every tuple of elements, and Hermite forms come
+from extended-gcd row pairs over the whole matrix.  Two exceptions are
 copies of library code as it was before a fast path replaced it:
 ``smith_with_transforms``, the Smith elimination with both transforms built
 eagerly, which pins the lazily built row transform and the class
@@ -303,6 +304,54 @@ def smith_with_transforms(rows, cols):
             u[t] = [-x for x in u[t]]
         t += 1
     return tuple(a[i][i] for i in range(bound)), u, v
+
+
+def hermite_rows(rows, cols):
+    """Nonzero rows of the row Hermite normal form of the whole matrix.
+
+    Each column is cleared below its pivot by unimodular 2x2 row operations
+    built from the extended gcd of two entries; the pivot is then made
+    positive and the entries above it reduced into [0, pivot).
+    """
+    a = [list(row) for row in rows]
+    r = 0
+    for c in range(cols):
+        for i in range(r + 1, len(a)):
+            if not a[i][c]:
+                continue
+            x0, y0, x1, y1, g, h = 1, 0, 0, 1, a[r][c], a[i][c]
+            while h:
+                q, g, h = g // h, h, g % h
+                x0, x1, y0, y1 = x1, x0 - q * x1, y1, y0 - q * y1
+            p, q = a[r][c] // g, a[i][c] // g  # x0*a[r][c] + y0*a[i][c] = g
+            a[r], a[i] = ([x0 * u + y0 * v for u, v in zip(a[r], a[i])],
+                          [p * v - q * u for u, v in zip(a[r], a[i])])
+        if r < len(a) and a[r][c]:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            for j in range(r):
+                q = a[j][c] // a[r][c]
+                a[j] = [x - q * y for x, y in zip(a[j], a[r])]
+            r += 1
+    return a[:r]
+
+
+def axis_class_coordinates(p, base):
+    """Each generator's class coordinates from the lattice alone.
+
+    The relations of ``p`` are written in axis coordinates (every generator
+    but ``base``), the whole matrix is brought to Hermite form, and the
+    eager Smith elimination of its nonzero rows gives the coordinate map.
+    """
+    axis = [g for g in p.generators if g != base]
+    h = hermite_rows([[r.coefficient(g) for g in axis] for r in p.relations], len(axis))
+    diagonal, _, right = smith_with_transforms(h, len(axis))
+    rank = sum(1 for d in diagonal if d)
+    coords = {}
+    for g in p.generators:
+        image = right[axis.index(g)] if g != base else [0] * len(axis)
+        coords[g] = tuple(image[rank:]) + tuple(image[j] % d for j, d in enumerate(diagonal) if d > 1)
+    return coords
 
 
 # ---------------------------------------------------------------- spec parser

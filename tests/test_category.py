@@ -33,7 +33,7 @@ from k0heap.presentation import (
     truss_from_table,
     word_equal,
 )
-from oracles import smith_with_transforms
+from oracles import axis_class_coordinates
 
 
 def entry(apex, left, right, result, lm=True, rm=False):
@@ -285,25 +285,12 @@ def test_zero_law_violations_lists_breaking_entries_in_table_order():
     ]
 
 
-def eager_class_coordinates(p, base):
-    """Each generator's class coordinates from the eager Smith form of every relation."""
-    axis = [g for g in p.generators if g != base]
-    rows = [[r.coefficient(g) for g in axis] for r in p.relations]
-    diagonal, _, right = smith_with_transforms(rows, len(axis))
-    rank = sum(1 for d in diagonal if d)
-    coords = {}
-    for g in p.generators:
-        image = right[axis.index(g)] if g != base else [0] * len(axis)
-        coords[g] = tuple(image[rank:]) + tuple(image[j] % d for j, d in enumerate(diagonal) if d > 1)
-    return coords
-
-
 def test_class_coordinates_match_eager_smith_on_valid_corpus(data_dir):
     for path in sorted((data_dir / "valid").glob("*.cat")):
         p = k0_presentation(parse_spec(SpecSource(path.read_text(), path.name)).spec)
         for base in p.generators:
             gs = retract_group_structure(p, base)
-            expected = eager_class_coordinates(p, base)
+            expected = axis_class_coordinates(p, base)
             got = {g: gs.class_coordinates(AffineWord.generator(g)) for g in p.generators}
             assert got == expected, f"{path.name} at base {base}"
 
@@ -365,30 +352,33 @@ def test_presentations_still_check_every_label(ch):
 
 
 def test_checks_look_each_basis_up_once_per_presentation(monkeypatch):
-    # every query passes the pivots its check found once per basis lookup
-    queries, scans = [], []
-    residue, pivot_rows = presentation.residue, presentation.pivot_rows
-    monkeypatch.setattr(presentation, "residue", lambda h, v, pivots: queries.append(v) or residue(h, v, pivots))
-    monkeypatch.setattr(presentation, "pivot_rows", lambda h: scans.append(h) or pivot_rows(h))
+    # every query passes the pivot rows cached with its basis, found once per build
+    queries = []
+    residue = presentation.residue
+    monkeypatch.setattr(presentation, "residue", lambda h, v, pivots: queries.append(pivots) or residue(h, v, pivots))
 
-    def run(check, *args):
-        _relation_hnf.cache_clear()
+    def run(check, *args, bases):
+        pivots = [_relation_hnf(p)[1] for p in bases]  # built first: only the check's own queries count
+        before = _relation_hnf.cache_info()
         queries.clear()
-        scans.clear()
         result = check(*args)
-        info = _relation_hnf.cache_info()
-        assert len(scans) == info.hits + info.misses
-        return result, info.hits + info.misses, len(queries)
+        after = _relation_hnf.cache_info()
+        assert after.misses == before.misses
+        assert all(any(q is known for known in pivots) for q in queries)
+        return result, after.hits - before.hits, len(queries)
 
     for s in (vect_spec(6), swindle_spec(6)):
         full, split = k0_presentation(s), split_presentation(s)
-        check, lookups, tests = run(truss_from_table, full, truss_table(s))
+        check, lookups, tests = run(truss_from_table, full, truss_table(s), bases=(full,))
         assert check.ok and check.unit_law == "ok"
         assert lookups == 1 and tests > len(full.relations)
-        report, lookups, tests = run(compare_projection, split, full)
+        report, lookups, tests = run(compare_projection, split, full, bases=(split, full))
         assert report.equal
         assert lookups == 2 and tests == len(split.relations) + len(full.relations)
         identity = {g: AffineWord.generator(g) for g in full.generators}
-        morphism, lookups, tests = run(induced_morphism, full, full, identity)
+        morphism, lookups, tests = run(induced_morphism, full, full, identity, bases=(full,))
         assert morphism.ok
         assert lookups == 1 and tests == len(full.relations)
+        first, last = (AffineWord.generator(g) for g in (full.generators[0], full.generators[-1]))
+        _, lookups, tests = run(word_equal, full, first, last, bases=(full,))
+        assert lookups == 1 and tests == 1

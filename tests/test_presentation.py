@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k0heap import presentation
 from k0heap.lattice import IntMatrix, hnf
 from k0heap.presentation import (
     AbelianHeapPresentation,
@@ -15,6 +16,7 @@ from k0heap.presentation import (
     TrussTable,
     UnknownGeneratorError,
     bracket,
+    in_relation_lattice,
     induced_morphism,
     normalize_affine,
     retract_group_structure,
@@ -107,6 +109,8 @@ def test_unknown_generator_message_is_shared():
     free = AbelianHeapPresentation(generators=("x",), relations=())
     with pytest.raises(UnknownGeneratorError, match=r"^unknown generator 'y'$"):
         word_equal(free, gen("y"), gen("x"))
+    with pytest.raises(UnknownGeneratorError, match=r"^unknown generator 'u'$"):
+        in_relation_lattice(AbelianHeapPresentation(("x", "y"), ()), {"u": 1, "v": -1})
 
 
 @st.composite
@@ -118,17 +122,91 @@ def tall_relation_matrices(draw):
     return n, [r + [-sum(r)] for r in rows]
 
 
-@settings(max_examples=100, deadline=None)
-@given(tall_relation_matrices())
-def test_blockwise_basis_is_nonzero_rows_of_full_hnf(shape):
-    n, rows = shape
+def presentation_of(n, rows):
     generators = tuple(f"g{i}" for i in range(n))
     relations = tuple(RelationVector.from_coefficients(dict(zip(generators, r))) for r in rows)
-    p = AbelianHeapPresentation(generators=generators, relations=relations)
+    return AbelianHeapPresentation(generators=generators, relations=relations)
+
+
+def inserted_basis(p, monkeypatch):
+    """The basis built without the cache, and the number of relations it inserted."""
+    inserts = []
+    monkeypatch.setattr(presentation, "hnf", lambda m: inserts.append(m.rows) or hnf(m))
+    basis, pivots, index = _relation_hnf.__wrapped__(p)
+    monkeypatch.undo()
+    assert index == {g: j for j, g in enumerate(p.generators)}
+    assert [c for c, _ in pivots] == [next(c for c, x in enumerate(row) if x) for row in basis.to_rows()]
+    assert all(rows <= basis.rows + 1 for rows in inserts)
+    return basis, len(inserts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_relation_matrices())
+def test_inserted_basis_is_nonzero_rows_of_full_hnf(shape):
+    n, rows = shape
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        basis, _ = inserted_basis(presentation_of(n, rows), monkeypatch)
     full, _ = hnf(IntMatrix.from_rows(rows, cols=n))
-    basis = _relation_hnf.__wrapped__(p)  # bypass the cache
     assert basis.cols == n
     assert basis.to_rows() == [row for row in full.to_rows() if any(row)]
+
+
+def test_every_relation_can_be_an_insert(monkeypatch):
+    # each row either raises the rank or halves the index of the lattice so far
+    n, top = 5, 6
+    rows = []
+    for k in range(top, -1, -1):
+        for j in range(1, n):
+            row = [0] * n
+            row[0], row[j] = -2 ** k, 2 ** k
+            rows.append(row)
+    basis, inserts = inserted_basis(presentation_of(n, rows), monkeypatch)
+    assert inserts == len(rows)
+    full, _ = hnf(IntMatrix.from_rows(rows, cols=n))
+    assert basis.to_rows() == [row for row in full.to_rows() if any(row)]
+
+
+@st.composite
+def same_lattice_relations(draw):
+    """Sum-zero rows, and the same rows shuffled, negated, duplicated, and padded with combinations and zeros."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    cell = st.integers(min_value=-3, max_value=3)
+    rows = [r + [-sum(r)] for r in draw(st.lists(st.lists(cell, min_size=n - 1, max_size=n - 1), max_size=2 * n))]
+    others = [[sign * x for x in r] for r, sign in zip(rows, draw(st.lists(st.sampled_from((1, -1)),
+                                                                             min_size=len(rows), max_size=len(rows))))]
+    others += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))] if rows else []
+    for coeffs in draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)), max_size=3)):
+        others.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+    others.append([0] * n)
+    return n, rows, draw(st.permutations(others))
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_lattice_relations())
+def test_retract_group_depends_only_on_the_lattice_and_the_base(case):
+    n, rows, others = case
+    p, q = presentation_of(n, rows), presentation_of(n, others)
+    for base in p.generators:
+        gp, gq = retract_group_structure(p, base), retract_group_structure(q, base)
+        assert gp.invariants == gq.invariants
+        for g in p.generators:
+            assert gp.class_coordinates(gen(g)) == gq.class_coordinates(gen(g)), (base, g)
+
+
+def test_basis_cache_evicts_the_least_recently_used_presentation():
+    presentations = [
+        AbelianHeapPresentation(generators=(f"g{i}", "h"), relations=(rel(**{f"g{i}": 1, "h": -1}),))
+        for i in range(_relation_hnf.cache_info().maxsize + 1)
+    ]
+    _relation_hnf.cache_clear()
+    for p in presentations:
+        assert in_relation_lattice(p, {})
+    info = _relation_hnf.cache_info()
+    assert info.currsize == info.maxsize == len(presentations) - 1
+    in_relation_lattice(presentations[1], {})
+    assert _relation_hnf.cache_info().hits == info.hits + 1
+    in_relation_lattice(presentations[0], {})
+    assert _relation_hnf.cache_info().misses == info.misses + 1
 
 
 def test_word_equal_reflexive_and_relation_driven():
