@@ -14,6 +14,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from ._frozen import Frozen
+from .heaps import _assembled
 from .presentation import (
     AbelianHeapPresentation,
     AffineWord,
@@ -147,28 +148,33 @@ def ensure_valid(s: CategorySpec) -> None:
         raise InvalidSpecError(errors)
 
 
-def _relations(squares) -> tuple[RelationVector, ...]:
-    """left - apex + right - result per (left, apex, right, result), terms sorted, zeros dropped.
+def _presentation(objects: tuple[str, ...], squares) -> AbelianHeapPresentation:
+    """One relation left - apex + right - result per (left, apex, right, result), terms sorted, zeros dropped.
 
-    The presentation checks the labels: every generator, and each support.
+    Only the generators are checked, by a presentation with no relations:
+    ``ensure_valid`` has put every label of a square among the objects, and
+    each relation sums to zero as built.
     """
+    AbelianHeapPresentation(objects, ())
     relations = []
     for left, apex, right, result in squares:
-        acc = {left: 1}
-        acc[right] = acc.get(right, 0) + 1
-        acc[apex] = acc.get(apex, 0) - 1
-        acc[result] = acc.get(result, 0) - 1
-        terms = tuple(sorted(item for item in acc.items() if item[1]))
+        if len({left, apex, right, result}) == 4:  # most squares: no label cancels or repeats
+            terms = tuple(sorted(((left, 1), (right, 1), (apex, -1), (result, -1))))
+        else:
+            acc = {left: 1}
+            acc[right] = acc.get(right, 0) + 1
+            acc[apex] = acc.get(apex, 0) - 1
+            acc[result] = acc.get(result, 0) - 1
+            terms = tuple(sorted([item for item in acc.items() if item[1]]))
         if terms:
-            relations.append(RelationVector(terms))
-    return tuple(relations)
+            relations.append(_assembled(RelationVector, terms))
+    return _assembled(AbelianHeapPresentation, objects, tuple(relations))
 
 
 def k0_presentation(s: CategorySpec) -> AbelianHeapPresentation:
     """Generators are the objects; one relation per qualifying pushout square."""
     ensure_valid(s)
-    squares = ((e.left, e.apex, e.right, e.result) for e in s.pushouts if e.qualifies)
-    return AbelianHeapPresentation(generators=s.objects, relations=_relations(squares))
+    return _presentation(s.objects, ((e.left, e.apex, e.right, e.result) for e in s.pushouts if e.qualifies))
 
 
 def k0_group(s: CategorySpec, base: str) -> GroupStructure:
@@ -180,8 +186,7 @@ def split_presentation(s: CategorySpec) -> AbelianHeapPresentation:
     ensure_valid(s)
     if s.sums is None or s.zero is None:
         raise ValueError("split presentation needs both a sums table and a zero object")
-    squares = ((a, s.zero, b, c) for (a, b), c in sorted(s.sums.items()))
-    return AbelianHeapPresentation(generators=s.objects, relations=_relations(squares))
+    return _presentation(s.objects, ((a, s.zero, b, c) for (a, b), c in sorted(s.sums.items())))
 
 
 class ProjectionReport(NamedTuple):

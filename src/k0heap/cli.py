@@ -77,20 +77,25 @@ def _parse_word(text: str, what: str):
         raise CliError(f"{what}: {exc}", 2)
 
 
+def _load_presentation(path: str):
+    spec = _load_spec(path)
+    try:
+        return k0_presentation(spec)
+    except ValueError as exc:  # a spec with no objects
+        raise CliError(str(exc), 2)
+
+
 def _emit(args, command: str, lines: list[str]) -> None:
+    write = sys.stdout.write
     if args.format == "structured":
-        print(FORMAT_HEADER)
-        print(f"command {command}")
+        write(f"{FORMAT_HEADER}\ncommand {command}\n")
     for line in lines:
-        print(line)
+        write(line)
+        write("\n")
 
 
 def cmd_present(args) -> int:
-    spec = _load_spec(args.file)
-    try:
-        p = k0_presentation(spec)
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    p = _load_presentation(args.file)
     lines = [f"generator {g}" for g in p.generators]
     lines += [f"relation {r}" for r in p.relations]
     _emit(args, "present", lines)
@@ -98,9 +103,9 @@ def cmd_present(args) -> int:
 
 
 def cmd_group(args) -> int:
-    spec = _load_spec(args.file)
+    p = _load_presentation(args.file)
     try:
-        gs = retract_group_structure(k0_presentation(spec), args.base)
+        gs = retract_group_structure(p, args.base)
     except UnknownGeneratorError as exc:
         raise CliError(str(exc), 2)
     _emit(args, "group", gs.report_lines())
@@ -108,8 +113,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_equal(args) -> int:
-    spec = _load_spec(args.file)
-    p = k0_presentation(spec)
+    p = _load_presentation(args.file)
     trees = [_parse_word(args.word1, "word 1"), _parse_word(args.word2, "word 2")]
     try:
         w1, w2 = (normalize_affine(t) for t in trees)
@@ -349,6 +353,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # buffered even under PYTHONUNBUFFERED, so that a line is not a write(2) call of its own
+    out = sys.stdout
+    sys.stdout = open(out.fileno(), "w", encoding=out.encoding, errors=out.errors, closefd=False)
     try:
         code = run_cli()
         sys.stdout.flush()

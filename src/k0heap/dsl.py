@@ -14,7 +14,9 @@ Parsing never falls back to silent defaults: every problem becomes a
 positioned diagnostic (1-based line and column of the first offending
 token; lines end at LF, CRLF or CR).  A parse with zero errors yields a
 spec that passes validate_spec; entries without a monomorphic leg are kept
-but flagged with a warning.
+but flagged with a warning.  A pushout line that repeats its apex, has a
+[mono] leg and names only declared labels is read with one pattern match;
+every other line is walked token by token, and only that walk reports.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from .category import CategorySpec, PushoutEntry, zero_law_violations
 from .heaps import check_label
 
 _TOKEN = re.compile(r",|[^\s,]+")
+# a pushout line as its tokens run, apex repeated; its own whitespace class is the one _TOKEN splits on
+_PUSHOUT = re.compile(
+    r"\s*pushout\s+([^\s,]+)\s+->\s+([^\s,]+)(\s+\[mono\])?\s*,"
+    r"\s*\1\s+->\s+([^\s,]+)(\s+\[mono\])?\s+=>\s+([^\s,]+)\s*"
+)
 CW_CONVENTIONS = ("same-index", "boundary")  # the sphere index each disk is attached along
 
 
@@ -110,9 +117,15 @@ class _Parser:
         self.diagnostics.append(Diagnostic("warning", self.lineno, _column(self.code, i), message))
 
     def run(self) -> ParseResult:
-        handlers = self.handlers
+        handlers, declared, pushouts, read_pushout = self.handlers, self.declared, self.pushouts, _PUSHOUT.fullmatch
         for lineno, raw in enumerate(split_lines(self.src.text), start=1):
             code = raw.split("#", 1)[0]
+            m = read_pushout(code)
+            if m is not None:  # a line taken here is one the token walk would find nothing to say about
+                apex, left, left_mono, right, right_mono, result = m.groups()
+                if (left_mono or right_mono) and declared.issuperset((apex, left, right, result)):
+                    pushouts.append(PushoutEntry(apex, left, right, result, bool(left_mono), bool(right_mono)))
+                    continue
             tokens = _TOKEN.findall(code)
             if not tokens:
                 continue

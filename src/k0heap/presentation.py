@@ -79,7 +79,7 @@ class _SparseTerms(Frozen):
         return dict(self.terms)
 
     def __str__(self) -> str:
-        return " ".join(f"{label}:{c}" for label, c in self.terms) or "0"
+        return " ".join([f"{label}:{c}" for label, c in self.terms]) or "0"
 
 
 class AffineWord(_SparseTerms):

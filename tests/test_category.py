@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k0heap import presentation
 from k0heap.category import (
@@ -336,6 +338,23 @@ def test_presentations_equal_the_combine_construction(data_dir):
         if s.sums is not None and s.zero is not None:
             squares = [(a, s.zero, b, c) for (a, b), c in sorted(s.sums.items())]
             assert split_presentation(s) == presentation_by_combine(s, squares), name
+
+
+POOL = ("0", "a", "b", "c", "d", "日")
+SQUARE = st.tuples(*[st.sampled_from(POOL)] * 4, st.booleans(), st.booleans()).map(lambda t: entry(*t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SQUARE, max_size=12), st.dictionaries(st.tuples(*[st.sampled_from(POOL)] * 2), st.sampled_from(POOL)))
+def test_random_squares_give_the_combine_construction(entries, sums):
+    # squares whose labels repeat or cancel as often as squares of four distinct labels
+    for a, b, _ in zero_law_violations("0", sums):
+        del sums[(a, b)]
+    s = CategorySpec(objects=POOL, pushouts=tuple(entries), zero="0", sums=sums)
+    squares = [(e.left, e.apex, e.right, e.result) for e in entries if e.qualifies]
+    assert k0_presentation(s) == presentation_by_combine(s, squares)
+    squares = [(a, "0", b, c) for (a, b), c in sorted(sums.items())]
+    assert split_presentation(s) == presentation_by_combine(s, squares)
 
 
 @pytest.mark.parametrize("ch", [":", "[", ">"])

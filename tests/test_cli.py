@@ -301,16 +301,41 @@ def test_package_entry_point_runs_the_cli(data_dir):
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
-    spec = tmp_path / "set32.cat"
-    spec.write_text(print_spec(finite_sets_spec(32)))  # its presentation is far larger than a pipe buffer
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "k0heap", "present", str(spec)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(),
-    )
-    assert proc.stdout.readline() == b"generator empty\n"
-    proc.stdout.close()
-    assert proc.wait(timeout=120) == 1
-    assert proc.stderr.read() == b""
+    # each output is far larger than a pipe buffer; demo writes its document in one call,
+    # which an unbuffered stdout would cut short without a word
+    (tmp_path / "set32.cat").write_text(print_spec(finite_sets_spec(32)))
+    for argv, first in ((["present", "set32.cat"], b"generator empty\n"), (["demo", "set", "64"], b"# k0 category spec\n")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "k0heap", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env={**source_env(), "PYTHONUNBUFFERED": "1"},
+        )
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1, argv
+        assert proc.stderr.read() == b""
+
+
+def test_output_bytes_do_not_depend_on_python_buffering(tmp_path):
+    (tmp_path / "set32.cat").write_text(print_spec(finite_sets_spec(32)))
+    for argv in (["present", "set32.cat"], ["demo", "set", "32"]):
+        env = {k: v for k, v in source_env().items() if k != "PYTHONUNBUFFERED"}
+        plain, unbuffered = (
+            subprocess.run([sys.executable, "-m", "k0heap", *argv], capture_output=True, cwd=tmp_path, env=e, timeout=120)
+            for e in (env, {**env, "PYTHONUNBUFFERED": "1"})
+        )
+        assert plain.returncode == unbuffered.returncode == 0
+        assert plain.stdout == unbuffered.stdout and plain.stdout.count(b"\n") > 5000
+
+
+@pytest.mark.parametrize("text", ["", "# no objects\n\n   # at all\n"])
+@pytest.mark.parametrize("argv", [["group", "--base", "a"], ["equal", "a", "a"], ["present"]])
+def test_spec_with_no_objects_is_an_input_error(tmp_path, text, argv):
+    spec = tmp_path / "empty.cat"
+    spec.write_text(text)
+    proc = run_module(argv[0], str(spec), *argv[1:])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: a presentation needs at least one generator\n"
+    assert proc.stdout == ""
 
 
 FOOTPRINT = """

@@ -292,3 +292,41 @@ def test_corpus_and_generated_specs_parse_as_the_column_parser_parses_them(data_
     for n in range(1, 9):
         for generate in (finite_sets_spec, vect_spec, swindle_spec):
             assert_parses_like_the_column_parser(print_spec(generate(n)))
+
+
+# A pushout line whose five labels are all declared and which has a [mono] leg
+# is read with one pattern match; every other line is walked token by token.
+# Each variant sits on either side of that split, or just across it.
+
+DECLARED = "object a\nobject b\nobject c\nobject d\n"
+PUSHOUT_VARIANTS = {
+    "plain": "pushout a -> b [mono], a -> c => d",
+    "right leg mono": "pushout a -> b, a -> c [mono] => d",
+    "both legs mono": "pushout a -> b [mono], a -> c [mono] => d",
+    "tabs and form feeds": "\tpushout\ta\x0c->  b\t[mono]\x0c,\ta ->\x0cc\t=>\x0cd\x0c",
+    "comma with no space": "pushout a -> b [mono],a -> c => d",
+    "comma spaced on both sides": "pushout a -> b , a -> c [mono] => d",
+    "comma right after a label": "pushout a -> b,a -> c [mono] => d",
+    "mono right before the comma": "pushout a -> b [mono],  a -> c => d",
+    "trailing comment": "pushout a -> b [mono], a -> c => d  # a comment -> , [mono]",
+    "comment right after the result": "pushout a -> b [mono], a -> c => d#",
+    "forward reference": "pushout a -> b [mono], a -> c => e\nobject e",
+    "label never declared": "pushout a -> b [mono], a -> c => z",
+    "apex mismatch": "pushout a -> b [mono], b -> c => d",
+    "apex is a prefix of the repeat": "pushout a -> b [mono], ab -> c => d\nobject ab",
+    "no mono leg": "pushout a -> b, a -> c => d",
+    "reserved character in a label": "pushout a -> b [mono], a -> c => d:e",
+    "arrow with no spaces": "pushout a->b [mono], a->c => d",
+    "trailing token": "pushout a -> b [mono], a -> c => d e",
+    "doubled mono": "pushout a -> b [mono] [mono], a -> c => d",
+    "mono glued to a label": "pushout a -> b[mono], a -> c => d",
+    "missing result": "pushout a -> b [mono], a -> c =>",
+    "directive glued to a comma": "pushout,a -> b [mono], a -> c => d",
+}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+@pytest.mark.parametrize("line", sorted(PUSHOUT_VARIANTS), ids=sorted(PUSHOUT_VARIANTS))
+def test_pushout_line_variants_parse_as_the_column_parser_parses_them(line, ending):
+    text = (DECLARED + PUSHOUT_VARIANTS[line] + "\npushout b -> c [mono], b -> d => a\n").replace("\n", ending)
+    assert_parses_like_the_column_parser(text)
