@@ -3,77 +3,39 @@
 The package turns enumerated pushout data into presented abelian heaps,
 decides word equality through integer lattice membership, and extracts the
 retract group structure (rank and invariant factors) via Smith normal form.
+
+``import k0heap`` loads no layer: each public name below loads its module on
+first use, so a program that never touches a heap model never compiles
+``heaps``.
 """
 
-from .category import (
-    CategorySpec,
-    FunctorSpec,
-    PushoutEntry,
-    compare_projection,
-    functor_induced,
-    k0_group,
-    k0_presentation,
-    split_presentation,
-    validate_spec,
-)
-from .heaps import (
-    FiniteHeapModel,
-    FreeHeapWord,
-    GroupModel,
-    check_heap_morphism,
-    heap_from_group,
-    nary_product,
-    reduce_word,
-    retract_group,
-    ternary,
-)
-from .lattice import IntMatrix, InvariantFactors, hnf, snf
-from .presentation import (
-    AbelianHeapPresentation,
-    AffineWord,
-    RelationVector,
-    TrussTable,
-    bracket,
-    induced_morphism,
-    normalize_affine,
-    retract_group_structure,
-    truss_from_table,
-    word_equal,
-)
+from importlib import import_module
 
-__all__ = [
-    "AbelianHeapPresentation",
-    "AffineWord",
-    "CategorySpec",
-    "FiniteHeapModel",
-    "FreeHeapWord",
-    "FunctorSpec",
-    "GroupModel",
-    "IntMatrix",
-    "InvariantFactors",
-    "PushoutEntry",
-    "RelationVector",
-    "TrussTable",
-    "bracket",
-    "check_heap_morphism",
-    "compare_projection",
-    "functor_induced",
-    "heap_from_group",
-    "hnf",
-    "induced_morphism",
-    "k0_group",
-    "k0_presentation",
-    "nary_product",
-    "normalize_affine",
-    "reduce_word",
-    "retract_group",
-    "retract_group_structure",
-    "snf",
-    "split_presentation",
-    "ternary",
-    "truss_from_table",
-    "validate_spec",
-    "word_equal",
-]
+_LAYERS = {
+    "category": ("CategorySpec", "FunctorSpec", "PushoutEntry", "compare_projection", "functor_induced", "k0_group",
+                 "k0_presentation", "split_presentation", "validate_spec"),
+    "heaps": ("FiniteHeapModel", "FreeHeapWord", "GroupModel", "check_heap_morphism", "heap_from_group",
+              "nary_product", "reduce_word", "retract_group", "ternary"),
+    "lattice": ("IntMatrix", "InvariantFactors", "hnf", "snf"),
+    "presentation": ("AbelianHeapPresentation", "AffineWord", "RelationVector", "TrussTable", "bracket",
+                     "induced_morphism", "normalize_affine", "retract_group_structure", "truss_from_table",
+                     "word_equal"),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

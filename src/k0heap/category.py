@@ -13,8 +13,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from ._frozen import Frozen
-from .heaps import _assembled
+from ._frozen import Frozen, _assembled
 from .presentation import (
     AbelianHeapPresentation,
     AffineWord,
@@ -117,8 +116,9 @@ def validate_spec(s: CategorySpec) -> list[SpecIssue]:
             issues.append(SpecIssue("error", f"{where} references unknown object {label!r}"))
 
     for e in s.pushouts:
-        for label in (e.apex, e.left, e.right, e.result):
-            known(label, "pushout entry")
+        if not seen.issuperset(e[:4]):  # apex, left, right, result: named one by one only when one is unknown
+            for label in e[:4]:
+                known(label, "pushout entry")
         if not e.qualifies:
             issues.append(
                 SpecIssue(
@@ -153,21 +153,28 @@ def _presentation(objects: tuple[str, ...], squares) -> AbelianHeapPresentation:
 
     Only the generators are checked, by a presentation with no relations:
     ``ensure_valid`` has put every label of a square among the objects, and
-    each relation sums to zero as built.
+    each relation sums to zero as built.  Every relation takes its terms
+    from one shared (label, coefficient) pair per value, so the relations
+    hold one copy of each pair, not four fresh pairs each.
     """
     AbelianHeapPresentation(objects, ())
+    plus, minus = {g: (g, 1) for g in objects}, {g: (g, -1) for g in objects}
+    pairs = {pair: pair for pair in (*plus.values(), *minus.values())}  # a coefficient ±2 joins on first use
+    new, (put_terms,) = object.__new__, RelationVector._setters  # as _assembled does, without a call per relation
     relations = []
     for left, apex, right, result in squares:
         if len({left, apex, right, result}) == 4:  # most squares: no label cancels or repeats
-            terms = tuple(sorted(((left, 1), (right, 1), (apex, -1), (result, -1))))
+            terms = tuple(sorted((plus[left], plus[right], minus[apex], minus[result])))
         else:
             acc = {left: 1}
             acc[right] = acc.get(right, 0) + 1
             acc[apex] = acc.get(apex, 0) - 1
             acc[result] = acc.get(result, 0) - 1
-            terms = tuple(sorted([item for item in acc.items() if item[1]]))
+            terms = tuple(sorted([pairs.setdefault(item, item) for item in acc.items() if item[1]]))
         if terms:
-            relations.append(_assembled(RelationVector, terms))
+            relation = new(RelationVector)
+            put_terms(relation, terms)
+            relations.append(relation)
     return _assembled(AbelianHeapPresentation, objects, tuple(relations))
 
 

@@ -10,6 +10,7 @@ versioned header line ``k0-format 1``.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -34,7 +35,6 @@ from .dsl import (
     print_spec,
     split_lines,
 )
-from .heaps import reduce_word, word_from_tree
 from .lattice import IntMatrix, snf
 from .presentation import (
     UnknownGeneratorError,
@@ -202,9 +202,11 @@ def cmd_morphism(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import heaps  # the heap layer loads only for the command that runs it
+
     tree = _parse_word(args.word, "word")
     try:
-        reduced = reduce_word(word_from_tree(tree))
+        reduced = heaps.reduce_word(heaps.word_from_tree(tree))
     except ValueError as exc:
         raise CliError(str(exc), 2)
     if args.format == "structured":
@@ -353,8 +355,15 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    # buffered even under PYTHONUNBUFFERED, so that a line is not a write(2) call of its own
+    # a short-lived process: collect cycles rarely (the parser and the values leave none), and
+    # never walk what the imports built, which lives until exit; the final collection skips it too
+    gc.set_threshold(200_000, 30, 30)
+    gc.freeze()
     out = sys.stdout
+    if out is None:  # started with descriptor 1 closed: a reader that is already gone
+        print("error: standard output is closed", file=sys.stderr)
+        sys.exit(1)
+    # buffered even under PYTHONUNBUFFERED, so that a line is not a write(2) call of its own
     sys.stdout = open(out.fileno(), "w", encoding=out.encoding, errors=out.errors, closefd=False)
     try:
         code = run_cli()

@@ -17,6 +17,8 @@ spec that passes validate_spec; entries without a monomorphic leg are kept
 but flagged with a warning.  A pushout line that repeats its apex, has a
 [mono] leg and names only declared labels is read with one pattern match;
 every other line is walked token by token, and only that walk reports.
+Every reference to a label declared before it is read as the declared
+string, so a parsed spec holds one copy of each label.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
+from ._frozen import check_label
 from .category import CategorySpec, PushoutEntry, zero_law_violations
-from .heaps import check_label
 
 _TOKEN = re.compile(r",|[^\s,]+")
 # a pushout line as its tokens run, apex repeated; its own whitespace class is the one _TOKEN splits on
@@ -83,13 +85,16 @@ class _Parser:
     A token's column is worked out only when a diagnostic or an unresolved
     reference needs it, by tokenizing the line again.  A reference to an
     already declared label is not recorded: it can never be unknown.
+    Directives dispatch through the module table ``_HANDLERS``: a parser
+    holds no bound method of its own, so it is freed as soon as it is
+    dropped, not by the cycle collector.
     """
 
     def __init__(self, src: SpecSource):
         self.src = src
         self.diagnostics: list[Diagnostic] = []
         self.objects: list[str] = []
-        self.declared: set[str] = set()
+        self.declared: dict[str, str] = {}  # each declared label, mapped to itself
         self.zero: str | None = None
         self.unit: str | None = None
         self.pushouts: list[PushoutEntry] = []
@@ -99,14 +104,6 @@ class _Parser:
         self.products: dict[tuple[str, str], str] = {}
         # (label, line, column) of references to labels not yet declared
         self.references: list[tuple[str, int, int]] = []
-        self.handlers = {
-            "object": self.parse_object,
-            "zero": self.parse_point,
-            "unit": self.parse_point,
-            "pushout": self.parse_pushout,
-            "sum": self.parse_table,
-            "product": self.parse_table,
-        }
         self.lineno = 0
         self.code = ""  # the current line without its comment
 
@@ -117,24 +114,25 @@ class _Parser:
         self.diagnostics.append(Diagnostic("warning", self.lineno, _column(self.code, i), message))
 
     def run(self) -> ParseResult:
-        handlers, declared, pushouts, read_pushout = self.handlers, self.declared, self.pushouts, _PUSHOUT.fullmatch
+        label_of, pushouts, read_pushout = self.declared.get, self.pushouts, _PUSHOUT.fullmatch
         for lineno, raw in enumerate(split_lines(self.src.text), start=1):
             code = raw.split("#", 1)[0]
             m = read_pushout(code)
             if m is not None:  # a line taken here is one the token walk would find nothing to say about
                 apex, left, left_mono, right, right_mono, result = m.groups()
-                if (left_mono or right_mono) and declared.issuperset((apex, left, right, result)):
+                apex, left, right, result = label_of(apex), label_of(left), label_of(right), label_of(result)
+                if (left_mono or right_mono) and apex and left and right and result:  # labels are never empty
                     pushouts.append(PushoutEntry(apex, left, right, result, bool(left_mono), bool(right_mono)))
                     continue
             tokens = _TOKEN.findall(code)
             if not tokens:
                 continue
             self.lineno, self.code = lineno, code
-            handler = handlers.get(tokens[0])
+            handler = _HANDLERS.get(tokens[0])
             if handler is None:
                 self.error(0, f"unknown directive {tokens[0]!r}")
             else:
-                handler(tokens)
+                handler(self, tokens)
         self.check_references()
         errors = any(d.severity == "error" for d in self.diagnostics)
         spec = None
@@ -154,8 +152,10 @@ class _Parser:
             self.error(i, "missing label")
             return None
         tok = tokens[i]
-        if not declare and tok in self.declared:  # passed check_label when declared
-            return tok
+        if not declare:
+            label = self.declared.get(tok)
+            if label is not None:  # passed check_label when declared
+                return label
         try:
             check_label(tok)
         except ValueError as exc:
@@ -165,7 +165,7 @@ class _Parser:
             if tok in self.declared:
                 self.error(i, f"duplicate object {tok!r}")
                 return None
-            self.declared.add(tok)
+            self.declared[tok] = tok
         else:
             self.references.append((tok, self.lineno, _column(self.code, i)))
         return tok
@@ -268,6 +268,16 @@ class _Parser:
                 lineno, code = self.sum_lines[(a, b)]
                 message = f"sum {a} + {b} = {c} breaks the zero-object law"
                 self.diagnostics.append(Diagnostic("error", lineno, _column(code, 0), message))
+
+
+_HANDLERS = {
+    "object": _Parser.parse_object,
+    "zero": _Parser.parse_point,
+    "unit": _Parser.parse_point,
+    "pushout": _Parser.parse_pushout,
+    "sum": _Parser.parse_table,
+    "product": _Parser.parse_table,
+}
 
 
 def _column(code: str, i: int) -> int:

@@ -20,22 +20,9 @@ from operator import ne
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from ._frozen import Frozen
+from ._frozen import RESERVED_LABEL_CHARS, Frozen, _assembled, check_label  # the label rule is re-exported here
 
-RESERVED_LABEL_CHARS = frozenset("[],#*+=<>:")
 _MISSING = object()  # default of a table lookup; equal to no carrier label
-
-
-def check_label(name: str) -> str:
-    """Validate a generator label: non-empty, no whitespace, no reserved punctuation."""
-    if not isinstance(name, str) or not name:
-        raise ValueError("generator label must be a non-empty string")
-    for ch in name:
-        if ch.isspace():
-            raise ValueError(f"label {name!r} contains whitespace")
-        if ch in RESERVED_LABEL_CHARS:
-            raise ValueError(f"label {name!r} contains reserved character {ch!r}")
-    return name
 
 
 class HeapAxiomError(ValueError):
@@ -262,14 +249,6 @@ class FiniteHeapModel(Frozen):
         if values != expected:
             key = next(compress(product(elems, repeat=3), map(ne, values, expected)))
             raise HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {elems[0]!r}", witness=key)
-
-
-def _assembled(cls, *fields):
-    """A ``cls`` value from fields known to be valid: no validation runs."""
-    value = object.__new__(cls)
-    for name, field in zip(cls._fields, fields):
-        object.__setattr__(value, name, field)
-    return value
 
 
 def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:

@@ -150,7 +150,7 @@ def vect_spec(n: int) -> CategorySpec:
     addition and multiplication with unit '1'.
     """
     _check_bound(n)
-    objects = tuple(str(k) for k in range(n + 1))
+    objects = label = tuple(str(k) for k in range(n + 1))  # one copy of each label
     entries = []
     for b in range(n + 1):
         for a in range(b, n + 1):
@@ -160,18 +160,18 @@ def vect_spec(n: int) -> CategorySpec:
                     continue
                 entries.append(
                     PushoutEntry(
-                        apex=str(b),
-                        left=str(a),
-                        right=str(c),
-                        result=str(d),
+                        apex=label[b],
+                        left=label[a],
+                        right=label[c],
+                        result=label[d],
                         left_mono=True,
                         right_mono=b <= c,
                     )
                 )
     entries.sort()
-    sums = {(str(a), str(b)): str(a + b) for a in range(n + 1) for b in range(n + 1) if a + b <= n}
+    sums = {(label[a], label[b]): label[a + b] for a in range(n + 1) for b in range(n + 1) if a + b <= n}
     products = {
-        (str(a), str(b)): str(a * b) for a in range(n + 1) for b in range(n + 1) if a * b <= n
+        (label[a], label[b]): label[a * b] for a in range(n + 1) for b in range(n + 1) if a * b <= n
     }
     return CategorySpec(
         objects=objects,

@@ -24,8 +24,7 @@ from itertools import cycle
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping, NamedTuple
 
-from ._frozen import Frozen
-from .heaps import check_label
+from ._frozen import Frozen, check_label
 from .lattice import IntMatrix, InvariantFactors, hnf, pivot_rows, residue, smith_decomposition
 
 

@@ -81,6 +81,19 @@ def test_presentation_transcribes_entries():
     assert p.relations == (RelationVector.from_coefficients({"X": 1, "Y": -1, "Z": 1, "W": -1}),)
 
 
+def test_parsed_spec_and_presentation_hold_one_copy_of_each_label_and_term():
+    spec = parse_spec(SpecSource(print_spec(finite_sets_spec(8)))).spec
+    label = {o: o for o in spec.objects}
+    refs = [spec.unit] + [x for e in spec.pushouts for x in e[:4]]
+    refs += [x for table in (spec.sums, spec.products) for (a, b), c in table.items() for x in (a, b, c)]
+    assert len(refs) > 500 and all(x is label[x] for x in refs)
+    p = k0_presentation(spec)
+    terms = [t for r in p.relations for t in r.terms]
+    assert all(g is label[g] for g, _ in terms)
+    assert len({id(t) for t in terms}) == len(set(terms))  # one object per (label, coefficient) value
+    assert len({t for t in terms if abs(t[1]) == 1}) <= 2 * len(p.generators)
+
+
 def test_identity_pushouts_drop_to_zero():
     # X = X along the identity apex, in both orientations
     s = CategorySpec(

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import io
 import os
 import subprocess
@@ -355,6 +357,58 @@ def test_cli_import_needs_neither_dataclasses_nor_the_generators():
     proc = run_module("-c", FOOTPRINT, module=None)
     assert proc.returncode == 0, proc.stderr
     package, cli = (line.split() for line in proc.stdout.splitlines())
-    assert "k0heap.presentation" in package and "dataclasses" not in package
-    assert "k0heap.dsl" in cli
+    assert [m for m in package if m.startswith("k0heap")] == ["k0heap"] and "dataclasses" not in package
+    assert [m for m in cli if m.startswith("k0heap")] == [
+        "k0heap", "k0heap._frozen", "k0heap.category", "k0heap.cli", "k0heap.dsl", "k0heap.lattice",
+        "k0heap.presentation",
+    ]
     assert "dataclasses" not in cli and "k0heap.instances" not in cli
+
+
+NAMESPACE = """
+import importlib, sys
+import k0heap
+assert set(k0heap.__all__) <= set(dir(k0heap))
+assert not [m for m in sys.modules if m.startswith("k0heap.")], "dir() loaded a layer"
+star = {}
+exec("from k0heap import *", star)
+for name in k0heap.__all__:
+    home = importlib.import_module(star[name].__module__)
+    assert star[name] is getattr(home, name) is getattr(k0heap, name), name
+"""
+
+
+def test_package_names_load_their_layer_on_first_use():
+    proc = run_module("-c", NAMESPACE, module=None)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _cyclic_garbage(argv) -> int:
+    """Objects the cycle collector frees after one ``run_cli`` call made with it off."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path):
+    for n in (8, 32):
+        (tmp_path / f"set{n}.cat").write_text(print_spec(finite_sets_spec(n)))
+    for command, *options in (["present"], ["group", "--base", "empty"]):
+        small, large = (_cyclic_garbage([command, str(tmp_path / f"set{n}.cat"), *options]) for n in (8, 32))
+        assert small == large, command
+
+
+@pytest.mark.parametrize("argv", [["reduce", "a"], ["present", "set8.cat"], ["demo", "set", "8"]])
+def test_closed_descriptor_1_exits_1_without_a_traceback(tmp_path, argv):
+    (tmp_path / "set8.cat").write_text(print_spec(finite_sets_spec(8)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "k0heap", *argv], stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+        env=source_env(), preexec_fn=lambda: os.close(1), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output is closed\n"
