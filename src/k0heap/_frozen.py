@@ -69,9 +69,11 @@ class Frozen:
         return type(self), tuple(dict(f) if isinstance(f, MappingProxyType) else f for f in fields)
 
 
-def _assembled(cls, *fields):
-    """A ``cls`` value from fields known to be valid: no validation runs."""
+def _assembled(cls, *fields, **private):
+    """A ``cls`` value from fields known to be valid, ``private`` going to its ``__dict__``: no validation runs."""
     value = object.__new__(cls)
     for put, field in zip(cls._setters, fields):
         put(value, field)
+    if private:
+        vars(value).update(private)
     return value

@@ -16,15 +16,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .category import (
-    CategorySpec,
-    FunctorSpec,
-    compare_projection,
-    functor_induced,
-    k0_presentation,
-    split_presentation,
-    truss_table,
-)
 from .dsl import (
     CW_CONVENTIONS,
     SpecSource,
@@ -35,15 +26,8 @@ from .dsl import (
     print_spec,
     split_lines,
 )
-from .lattice import IntMatrix, snf
-from .presentation import (
-    UnknownGeneratorError,
-    normalize_affine,
-    retract_group_structure,
-    truss_from_table,
-    word_equal,
-)
 
+# each command loads the layers it runs: ``reduce`` loads heaps, and none of category, presentation and lattice
 FORMAT_HEADER = "k0-format 1"
 
 
@@ -60,7 +44,7 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", 2)
 
 
-def _load_spec(path: str) -> CategorySpec:
+def _load_spec(path: str):
     src = SpecSource(text=_read_file(path), name=path)
     result = parse_spec(src)
     for d in result.diagnostics:
@@ -78,6 +62,7 @@ def _parse_word(text: str, what: str):
 
 
 def _load_presentation(path: str):
+    from .category import k0_presentation
     spec = _load_spec(path)
     try:
         return k0_presentation(spec)
@@ -103,6 +88,7 @@ def cmd_present(args) -> int:
 
 
 def cmd_group(args) -> int:
+    from .presentation import UnknownGeneratorError, retract_group_structure
     p = _load_presentation(args.file)
     try:
         gs = retract_group_structure(p, args.base)
@@ -113,6 +99,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_equal(args) -> int:
+    from .presentation import UnknownGeneratorError, normalize_affine, word_equal
     p = _load_presentation(args.file)
     trees = [_parse_word(args.word1, "word 1"), _parse_word(args.word2, "word 2")]
     try:
@@ -125,6 +112,8 @@ def cmd_equal(args) -> int:
 
 
 def cmd_truss_check(args) -> int:
+    from .category import k0_presentation, truss_table
+    from .presentation import truss_from_table
     spec = _load_spec(args.file)
     if spec.products is None:
         raise CliError(f"{args.file}: no product table to check", 2)
@@ -144,6 +133,7 @@ def cmd_truss_check(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from .category import compare_projection, k0_presentation, split_presentation
     spec = _load_spec(args.file)
     try:
         split = split_presentation(spec)
@@ -179,6 +169,7 @@ def _parse_map_file(path: str) -> dict[str, str]:
 
 
 def cmd_morphism(args) -> int:
+    from .category import FunctorSpec, functor_induced
     source = _load_spec(args.source)
     target = _load_spec(args.target)
     mapping = _parse_map_file(args.mapfile)
@@ -217,6 +208,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_snf(args) -> int:
+    from .lattice import IntMatrix, snf
     rows = []
     for lineno, raw in enumerate(split_lines(sys.stdin.read()), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -24,10 +24,12 @@ string, so a parsed spec holds one copy of each label.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._frozen import check_label
-from .category import CategorySpec, PushoutEntry, zero_law_violations
+
+if TYPE_CHECKING:  # the spec parser loads category when it runs: reading a bracket word needs none of it
+    from .category import CategorySpec, PushoutEntry
 
 _TOKEN = re.compile(r",|[^\s,]+")
 # a pushout line as its tokens run, apex repeated; its own whitespace class is the one _TOKEN splits on
@@ -114,6 +116,7 @@ class _Parser:
         self.diagnostics.append(Diagnostic("warning", self.lineno, _column(self.code, i), message))
 
     def run(self) -> ParseResult:
+        from .category import CategorySpec, PushoutEntry
         label_of, pushouts, read_pushout = self.declared.get, self.pushouts, _PUSHOUT.fullmatch
         for lineno, raw in enumerate(split_lines(self.src.text), start=1):
             code = raw.split("#", 1)[0]
@@ -233,6 +236,7 @@ class _Parser:
             return
         if not (left_mono or right_mono):
             self.warning(0, "pushout has no [mono] leg: kept in the spec but it generates no relation")
+        from .category import PushoutEntry
         self.pushouts.append(PushoutEntry(apex, left, right, result, left_mono, right_mono))
 
     def parse_table(self, tokens: list[str]) -> None:
@@ -260,6 +264,7 @@ class _Parser:
             self.sum_lines[(a, b)] = (self.lineno, self.code)
 
     def check_references(self) -> None:
+        from .category import zero_law_violations
         for label, lineno, col in self.references:
             if label not in self.declared:
                 self.diagnostics.append(Diagnostic("error", lineno, col, f"unknown object {label!r}"))

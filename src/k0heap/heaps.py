@@ -8,6 +8,10 @@ adjacent letters always carry opposite signs, hence cancel exactly when
 equal.  Finite models carry read-only tables, validated on construction: a
 group table in O(n^2 log n) by Light's test, a heap table in one pass and
 O(n^3) through its retract group; entries outside the carrier are rejected.
+Each model keeps, as ``_tables`` in its instance ``__dict__`` (read by no
+comparison, hash, repr or pickle), the index tables of a group whose heap it
+is (for a heap validated from a table, its retract at carrier[0]); retracts
+and morphism checks read those integer rows, not the tables.
 Retracts of a heap and heaps of a group are not validated again.
 
 All values are immutable; every operation is a pure function.
@@ -141,7 +145,7 @@ class GroupModel(Frozen):
     each such g at least doubles that subgroup, so there are <= log2(n).
     """
 
-    __slots__ = ("carrier", "op", "identity", "inverse")
+    __slots__ = ("carrier", "op", "identity", "inverse", "__dict__")
 
     def __init__(self, carrier: tuple[str, ...], op: Mapping, identity: str, inverse: Mapping):
         object.__setattr__(self, "carrier", carrier)
@@ -170,6 +174,7 @@ class GroupModel(Frozen):
             stray = next(filterfalse(set(product(elems, repeat=2)).__contains__, op))
             raise GroupAxiomError(f"operation table has a stray entry at {stray!r}")
         _check_group(elems, table, inv, index[self.identity])
+        vars(self)["_tables"] = (index, table, inv)
 
 
 def _index_tables(elems, index, op, inverse) -> tuple[list[list[int]], list[int]]:
@@ -217,7 +222,7 @@ class FiniteHeapModel(Frozen):
     allowed (all axioms hold vacuously) but has no retracts, having no basepoint.
     """
 
-    __slots__ = ("carrier", "ternary")
+    __slots__ = ("carrier", "ternary", "__dict__")
 
     def __init__(self, carrier: tuple[str, ...], ternary: Mapping):
         object.__setattr__(self, "carrier", carrier)
@@ -225,40 +230,53 @@ class FiniteHeapModel(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        elems = self.carrier
-        index = {x: i for i, x in enumerate(elems)}
-        if len(index) != len(elems):
-            raise HeapAxiomError("carrier labels must be distinct")
-        t = dict(self.ternary)
-        values = list(map(t.get, product(elems, repeat=3), repeat(_MISSING)))
-        object.__setattr__(self, "ternary", MappingProxyType(t))
-        if not set(values) <= index.keys():
-            key = next(key for key, v in zip(product(elems, repeat=3), values) if v not in index)
-            raise HeapAxiomError(f"ternary table not total at {key}")
-        if len(t) != len(values):  # t is total, so only an entry outside carrier^3 makes it longer
-            stray = next(filterfalse(set(product(elems, repeat=3)).__contains__, t))
-            raise HeapAxiomError(f"ternary table has a stray entry at {stray!r}")
-        n, at = len(elems), index.__getitem__  # an empty carrier passes every check below
-        table = [list(map(at, values[a * n * n:a * n * n + n])) for a in range(n)]  # [a,e,b]
-        inv = [at(values[a * n]) for a in range(n)]  # [e,a,e]
-        try:
-            _check_group(elems, table, inv, 0)
-        except GroupAxiomError as exc:
-            raise HeapAxiomError(f"retract at {elems[0]!r}: {exc}", witness=exc.witness) from exc
-        expected = _bracket_values(elems, table, inv)
-        if values != expected:
-            key = next(compress(product(elems, repeat=3), map(ne, values, expected)))
-            raise HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {elems[0]!r}", witness=key)
+        checked = _checked_heap(self.carrier, self.ternary)
+        if isinstance(checked, HeapAxiomError):
+            raise checked
+        object.__setattr__(self, "ternary", checked[0])
+        vars(self)["_tables"] = checked[1]
+
+
+def _checked_heap(elems, ternary):
+    """(read-only copy, retract tables at elems[0]) or the HeapAxiomError, returned so no traceback holds n^3 locals."""
+    index = {x: i for i, x in enumerate(elems)}
+    if len(index) != len(elems):
+        return HeapAxiomError("carrier labels must be distinct")
+    t = dict(ternary)
+    values = list(map(t.get, product(elems, repeat=3), repeat(_MISSING)))
+    if not set(values) <= index.keys():
+        key = next(key for key, v in zip(product(elems, repeat=3), values) if v not in index)
+        return HeapAxiomError(f"ternary table not total at {key}")
+    if len(t) != len(values):  # t is total, so only an entry outside carrier^3 makes it longer
+        stray = next(filterfalse(set(product(elems, repeat=3)).__contains__, t))
+        return HeapAxiomError(f"ternary table has a stray entry at {stray!r}")
+    n, at = len(elems), index.__getitem__  # an empty carrier passes every check below
+    table = [list(map(at, values[a * n * n:a * n * n + n])) for a in range(n)]  # [a,e,b]
+    inv = [at(values[a * n]) for a in range(n)]  # [e,a,e]
+    try:
+        _check_group(elems, table, inv, 0)
+    except GroupAxiomError as exc:
+        error = HeapAxiomError(f"retract at {elems[0]!r}: {exc}", witness=exc.witness)
+        error.__cause__ = exc.with_traceback(None)  # as ``raise ... from exc``, without this frame
+        return error
+    expected = _bracket_values(elems, table, inv)
+    if values != expected:
+        key = next(compress(product(elems, repeat=3), map(ne, values, expected)))
+        return HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {elems[0]!r}", witness=key)
+    return MappingProxyType(t), (index, table, inv)
 
 
 def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:
     """Group on the same carrier with a + b := [a, e, b] and identity e; a heap's retract is a group: no check runs."""
     if e not in h.carrier:
         raise ValueError(f"basepoint {e!r} not in carrier")
-    elems, at = h.carrier, h.ternary.__getitem__
-    op = dict(zip(product(elems, repeat=2), map(at, product(elems, (e,), elems))))
-    inverse = dict(zip(elems, map(at, product((e,), elems, (e,)))))
-    return _assembled(GroupModel, elems, MappingProxyType(op), e, MappingProxyType(inverse))
+    (index, table, inv), elems = h._tables, h.carrier
+    i, label = index[e], elems.__getitem__
+    rows = [table[row[inv[i]]] for row in table]  # [a,e,b] = a * e^-1 * b in the group of h's tables
+    inv_e = [table[table[i][j]][i] for j in inv]  # [e,a,e] = e * a^-1 * e
+    op = MappingProxyType(dict(zip(product(elems, repeat=2), map(label, chain.from_iterable(rows)))))
+    inverse = MappingProxyType(dict(zip(elems, map(label, inv_e))))
+    return _assembled(GroupModel, elems, op, e, inverse, _tables=(index, rows, inv_e))
 
 
 def _bracket_values(elems, table: list[list[int]], inv: list[int]) -> list:
@@ -269,10 +287,9 @@ def _bracket_values(elems, table: list[list[int]], inv: list[int]) -> list:
 
 def heap_from_group(g: GroupModel) -> FiniteHeapModel:
     """Heap with bracket [a, b, c] = a * b^-1 * c, not validated again; retracting at the identity undoes this."""
-    elems = g.carrier
-    table, inv = _index_tables(elems, {x: i for i, x in enumerate(elems)}, g.op, g.inverse)
+    (_, table, inv), elems = g._tables, g.carrier
     ternary = dict(zip(product(elems, repeat=3), _bracket_values(elems, table, inv)))
-    return _assembled(FiniteHeapModel, elems, MappingProxyType(ternary))
+    return _assembled(FiniteHeapModel, elems, MappingProxyType(ternary), _tables=g._tables)
 
 
 class MorphismCheck(NamedTuple):
@@ -287,25 +304,28 @@ def check_heap_morphism(
     target: FiniteHeapModel,
     base: str | None = None,
 ) -> MorphismCheck:
-    """Test phi([x,y,z]) = [phi x, phi y, phi z] in O(n^2).
+    """Test phi([x,y,z]) = [phi x, phi y, phi z] in O(n^2), as integer rows over the models' index tables.
 
     Between heaps this is the homomorphism law of the retracts at e and
     phi(e), phi([x,e,y]) = [phi x, phi e, phi y], with e = ``base`` (which
     also sets ``group_law_ok``) or carrier[0]; a failing (x, e, y) is the witness.
     """
-    targets = set(target.carrier)
+    (index, table, inv), (t_index, t_table, t_inv) = source._tables, target._tables
     for x in source.carrier:
         if x not in mapping:
             raise ValueError(f"mapping is not total: missing {x!r}")
-        if mapping[x] not in targets:
+        if mapping[x] not in t_index:
             raise ValueError(f"mapping sends {x!r} outside the target carrier")
     if base is not None and base not in source.carrier:
         raise ValueError(f"basepoint {base!r} not in source carrier")
     e = source.carrier[0] if base is None and source.carrier else base
-    for x in source.carrier:
-        for y in source.carrier:
-            if mapping[source.ternary[(x, e, y)]] != target.ternary[(mapping[x], mapping[e], mapping[y])]:
-                return MorphismCheck(False, (x, e, y), None if base is None else False)
+    phi, j = [t_index[mapping[x]] for x in source.carrier], index.get(e)  # j is None only with no x
+    for i, x in enumerate(source.carrier):
+        image = t_table[t_table[phi[i]][t_inv[phi[j]]]]  # y -> [phi x, phi e, y], by index
+        left, right = [phi[k] for k in table[table[i][inv[j]]]], list(map(image.__getitem__, phi))
+        if left != right:
+            y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
+            return MorphismCheck(False, (x, e, source.carrier[y]), None if base is None else False)
     return MorphismCheck(True, None, None if base is None else True)
 
 

@@ -6,13 +6,16 @@ schoolbook sums over row lists, determinants use cofactor expansion, Smith
 factors come from gcds of minors, group isomorphy is decided by exhaustive
 backtracking search over bijections, and group axioms, heap axioms and heap
 morphisms are checked on every tuple of elements, and Hermite forms come
-from extended-gcd row pairs over the whole matrix.  Two exceptions are
+from extended-gcd row pairs over the whole matrix.  Three exceptions are
 copies of library code as it was before a fast path replaced it:
 ``smith_with_transforms``, the Smith elimination with both transforms built
 eagerly, which pins the lazily built row transform and the class
-coordinates read off the column transform; and ``parse_spec_by_columns``,
+coordinates read off the column transform; ``parse_spec_by_columns``,
 the spec parser that gave every token its column, which pins the parser's
-specs and diagnostics.
+specs and diagnostics; and ``morphism_check_by_lookup`` with
+``retract_by_lookup``, the heap-morphism loop and the retract that looked
+every bracket up in the ternary tables, which pin the whole morphism check,
+witness included, and the retract tables in their key order.
 """
 
 from __future__ import annotations
@@ -227,6 +230,22 @@ def triple_morphism_failure(mapping, source_carrier, source_table, target_table)
         if mapping[source_table[(x, y, z)]] != target_table[(mapping[x], mapping[y], mapping[z])]:
             return (x, y, z)
     return None
+
+
+def morphism_check_by_lookup(mapping, source, target, base=None):
+    """(ok, witness, group_law_ok) of phi([x,e,y]) = [phi x, phi e, phi y], x and y in carrier order; O(n^2)."""
+    e = source.carrier[0] if base is None and source.carrier else base
+    for x in source.carrier:
+        for y in source.carrier:
+            if mapping[source.ternary[(x, e, y)]] != target.ternary[(mapping[x], mapping[e], mapping[y])]:
+                return False, (x, e, y), None if base is None else False
+    return True, None, None if base is None else True
+
+
+def retract_by_lookup(carrier, ternary, e):
+    """(op, inverse) of the retract at e: a + b = [a, e, b] and -a = [e, a, e], keys in carrier order."""
+    op = {(a, b): ternary[(a, e, b)] for a in carrier for b in carrier}
+    return op, {a: ternary[(e, a, e)] for a in carrier}
 
 
 def smith_with_transforms(rows, cols):

@@ -347,7 +347,10 @@ import k0heap
 after_package = set(sys.modules)
 import k0heap.cli
 k0heap.cli.build_parser()
+after_cli = set(sys.modules)
+assert k0heap.cli.run_cli(["reduce", "[a,b,b]"]) == 0
 print(' '.join(sorted(after_package - before)))
+print(' '.join(sorted(after_cli - before)))
 print(' '.join(sorted(set(sys.modules) - before)))
 """
 
@@ -356,13 +359,14 @@ def test_cli_import_needs_neither_dataclasses_nor_the_generators():
     """Start-up cost is guarded by what gets imported, not by a timing gate."""
     proc = run_module("-c", FOOTPRINT, module=None)
     assert proc.returncode == 0, proc.stderr
-    package, cli = (line.split() for line in proc.stdout.splitlines())
+    package, cli, reduce = (line.split() for line in proc.stdout.splitlines()[-3:])
     assert [m for m in package if m.startswith("k0heap")] == ["k0heap"] and "dataclasses" not in package
-    assert [m for m in cli if m.startswith("k0heap")] == [
-        "k0heap", "k0heap._frozen", "k0heap.category", "k0heap.cli", "k0heap.dsl", "k0heap.lattice",
-        "k0heap.presentation",
-    ]
+    assert [m for m in cli if m.startswith("k0heap")] == ["k0heap", "k0heap._frozen", "k0heap.cli", "k0heap.dsl"]
     assert "dataclasses" not in cli and "k0heap.instances" not in cli
+    # reduce runs the heap layer only: category, presentation and lattice stay unloaded
+    assert [m for m in reduce if m.startswith("k0heap")] == [
+        "k0heap", "k0heap._frozen", "k0heap.cli", "k0heap.dsl", "k0heap.heaps",
+    ]
 
 
 NAMESPACE = """

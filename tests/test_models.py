@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -20,6 +22,8 @@ from oracles import (
     find_isomorphism,
     group_axiom_failure,
     heap_axiom_failure,
+    morphism_check_by_lookup,
+    retract_by_lookup,
     triple_morphism_failure,
 )
 
@@ -335,6 +339,11 @@ def heap_maps(draw):
     base = draw(st.none() | st.sampled_from(src_elems))
     source = FiniteHeapModel(carrier=tuple(draw(st.permutations(src_elems))), ternary=src_table)
     target = FiniteHeapModel(carrier=dst_elems, ternary=dst_table)
+    # the same heaps, keeping the index tables of a retract whose identity need not be carrier[0]
+    if draw(st.booleans()):
+        source = heap_from_group(retract_group(source, draw(st.sampled_from(src_elems))))
+    if draw(st.booleans()):
+        target = heap_from_group(retract_group(target, draw(st.sampled_from(dst_elems))))
     return mapping, source, target, base
 
 
@@ -352,12 +361,74 @@ def test_morphism_check_agrees_with_exhaustive_search(case):
         x, e, y = result.witness
         assert e == (source.carrier[0] if base is None else base)
         assert mapping[source.ternary[(x, e, y)]] != target.ternary[(mapping[x], mapping[e], mapping[y])]
+    assert result == morphism_check_by_lookup(mapping, source, target, base)  # the first failing (x, e, y)
+
+
+@st.composite
+def heaps_three_ways(draw):
+    """A small group heap: validated from its table, made by heap_from_group, or either one pickled or deep-copied.
+
+    The carrier is shuffled, so neither carrier[0] nor the identity's place in it is fixed.
+    """
+    elems, mul, inv = draw(st.sampled_from(SMALL_GROUPS))
+    carrier = tuple(draw(st.permutations(elems)))
+    if draw(st.booleans()):
+        h = FiniteHeapModel(carrier=carrier, ternary=group_heap_table(carrier, mul, inv))
+    else:
+        op = {(a, b): mul(a, b) for a in carrier for b in carrier}
+        h = heap_from_group(GroupModel(carrier=carrier, op=op, identity=elems[0], inverse={a: inv(a) for a in carrier}))
+    return draw(st.sampled_from([h, pickle.loads(pickle.dumps(h)), copy.deepcopy(h)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(heaps_three_ways())
+def test_retract_tables_match_the_bracket_lookups_at_every_basepoint(h):
+    for e in h.carrier:
+        g = retract_group(h, e)
+        op, inverse = retract_by_lookup(h.carrier, h.ternary, e)
+        assert g.identity == e
+        assert list(g.op.items()) == list(op.items()) and list(g.inverse.items()) == list(inverse.items())
+        assert list(heap_from_group(g).ternary.items()) == list(h.ternary.items())
 
 
 def test_morphism_rejects_unknown_base():
     h = mod_heap(2)
     with pytest.raises(ValueError):
         check_heap_morphism({"0": "0", "1": "1"}, h, h, base="7")
+
+
+def _big_frame_locals(exc, n, own):
+    """Names of frame locals with >= n^3 entries in the tracebacks of exc and its causes, except those in own."""
+    found = []
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb is not None:
+            for name, value in tb.tb_frame.f_locals.items():
+                if hasattr(value, "__len__") and len(value) >= n**3 and not any(value is t for t in own):
+                    found.append((tb.tb_frame.f_code.co_name, name))
+            tb = tb.tb_next
+        exc = exc.__cause__ or exc.__context__
+    return found
+
+
+def test_a_rejected_table_leaves_no_copy_of_it_in_the_traceback():
+    elems, table = zmod_table(8)
+    missing, stray, retract, bracket = (dict(table) for _ in range(4))
+    del missing[("1", "2", "3")]
+    stray[("1", "2", "9")] = "0"
+    retract[("1", "0", "2")] = "0"  # breaks the retract at '0'
+    bracket[("1", "2", "3")] = "0"  # read by no retract table at '0'
+    messages = []
+    for broken in (missing, stray, retract, bracket):
+        with pytest.raises(HeapAxiomError) as info:
+            FiniteHeapModel(carrier=elems, ternary=broken)
+        assert _big_frame_locals(info.value, 8, (table, missing, stray, retract, bracket)) == []
+        messages.append(str(info.value))
+        assert isinstance(info.value.__cause__, GroupAxiomError) is (broken is retract)
+    assert messages == [
+        "ternary table not total at ('1', '2', '3')", "ternary table has a stray entry at ('1', '2', '9')",
+        "retract at '0': associativity fails", "[a,b,c] != a*b^-1*c at base '0'",
+    ]
 
 
 def test_non_total_heap_table_is_rejected_before_any_law():

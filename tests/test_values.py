@@ -23,7 +23,15 @@ from k0heap.category import (
     SpecIssue,
 )
 from k0heap.dsl import Diagnostic, ParseResult, SpecSource
-from k0heap.heaps import FiniteHeapModel, FreeHeapWord, GroupModel, MorphismCheck, cyclic_group, heap_from_group
+from k0heap.heaps import (
+    FiniteHeapModel,
+    FreeHeapWord,
+    GroupModel,
+    MorphismCheck,
+    cyclic_group,
+    heap_from_group,
+    retract_group,
+)
 from k0heap.instances import CWComplexSpec, FiniteSetSpan, SetPushoutResult, finite_sets_spec
 from k0heap.lattice import IntMatrix, InvariantFactors, SmithDecomposition, smith_decomposition
 from k0heap.presentation import (
@@ -244,3 +252,19 @@ def test_positional_construction_follows_field_order():
     assert PushoutEntry("0", "A", "B", "C").qualifies is False
     g = _group()
     assert GroupModel(g.carrier, g.op, g.identity, g.inverse) == g
+
+
+def test_heap_models_keep_index_tables_outside_their_value():
+    """Equality, hash, repr and pickle read the fields only; a rebuilt value makes its tables again."""
+    h = heap_from_group(cyclic_group(3))
+    for value in (cyclic_group(3), h, retract_group(h, "1"), FiniteHeapModel(h.carrier, dict(h.ternary))):
+        assert list(vars(value)) == ["_tables"]
+        twin = copy.deepcopy(value)
+        assert vars(twin)["_tables"] == vars(value)["_tables"]
+        vars(twin)["_tables"] = None
+        assert twin == value and repr(twin) == repr(value)
+        assert twin._key(twin) == value._key(value) == tuple(getattr(value, f) for f in type(value)._fields)
+        assert "_tables" not in type(value)._fields and "__dict__" not in type(value)._fields
+        assert pickle.dumps(twin) == pickle.dumps(value)
+        again = pickle.loads(pickle.dumps(twin))
+        assert again == value and vars(again)["_tables"] == vars(value)["_tables"]
