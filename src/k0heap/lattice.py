@@ -3,14 +3,15 @@
 All arithmetic is arbitrary-precision Python int.  A lattice is always the
 integer span of the *rows* of a matrix: relations are row vectors over
 generator coordinates, and a vector lies in the lattice exactly when its
-``residue`` against the Hermite form is zero.  Entry growth during
-elimination is kept in check by always pivoting on a minimal-absolute-value
-nonzero entry.
+``residue`` against the Hermite form is zero.  ``residue`` serves the
+insertion of rows into a Hermite basis (see ``presentation``, whose queries
+read the Smith coordinates of the built lattice).  Entry growth during
+elimination is kept in check by pivoting on a least nonzero entry.
 
 Only the transforms a caller reads are built.  ``hnf`` returns its rows x
-rows transform, so a caller with many rows inserts them into a Hermite basis
-one at a time (see ``presentation``); ``smith_decomposition`` builds the
-column transform at once and the rows x rows row transform on first read.
+rows transform, so a caller with many rows inserts them one at a time;
+``smith_decomposition`` builds the column transform at once and the rows x
+rows row transform on first read.
 
 Matrices are immutable values; every function returns fresh objects.
 """
@@ -184,15 +185,15 @@ def pivot_rows(h: IntMatrix) -> list[tuple[int, tuple[int, ...]]]:
     return [(next(c for c, x in enumerate(row) if x), row) for row in rows if any(row)]
 
 
-def residue(h: IntMatrix, v: Sequence[int], pivots: Sequence | None = None) -> tuple[int, ...]:
-    """Reduce ``v`` against a matrix already in row HNF; a caller with many ``v`` passes ``pivot_rows(h)``.
+def residue(h: IntMatrix, v: Sequence[int], pivots: Sequence) -> tuple[int, ...]:
+    """Reduce ``v`` against a matrix already in row HNF, whose ``pivot_rows`` are ``pivots``.
 
     The result is zero exactly when ``v`` lies in the row span of ``h``.
     """
     if len(v) != h.cols:
         raise ValueError(f"vector length {len(v)} does not match {h.cols} columns")
     w = list(v)
-    for c, row in pivot_rows(h) if pivots is None else pivots:
+    for c, row in pivots:
         q = w[c] // row[c]
         if q:
             for j in range(c, h.cols):

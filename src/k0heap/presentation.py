@@ -3,18 +3,17 @@
 Elements are affine words: finitely supported integer coefficient vectors
 over generators with coefficient sum 1 (the abelian normal form of an
 iterated bracket, since [a, b, c] = a - b + c once a basepoint exists).
-Relations are sum-zero vectors; two words are equal exactly when their
-difference lies in the integer span of the relations, decided through the
-Hermite normal form of that lattice.  Retract groups are read off the
-Smith normal form in basepoint-relative coordinates.
+Relations are sum-zero vectors.  Retract groups are read off the Smith
+normal form in basepoint-relative coordinates.  The retract group at the
+first generator is the one membership kernel: a vector is a relation
+exactly when it sums to zero and all its class coordinates there are zero.
 
 Presentations are immutable and hashable.  Each presentation's Hermite
-basis (its rank nonzero rows) is built by inserting the relations one at a
-time and kept with its pivot rows in a fixed-size module-level
-``lru_cache`` keyed by the presentation's value, so each lookup hashes the
-whole presentation.  A check (truss, projection, morphism) makes one lookup
-per presentation, ``word_equal`` one per query.  The retract group's Smith
-form is taken from that basis: no matrix with a row per relation is built.
+basis, built by inserting the relations one at a time, and that kernel are
+kept in a fixed-size module-level ``lru_cache`` keyed by the presentation's
+value, so each lookup hashes the whole presentation.  A check (truss,
+projection, morphism) makes one lookup per presentation, ``word_equal`` one
+per query; a query costs |support| x (free + torsion) products.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import cycle
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping, NamedTuple
+from typing import ClassVar, Collection, Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, check_label
 from .lattice import IntMatrix, InvariantFactors, hnf, pivot_rows, residue, smith_decomposition
@@ -63,12 +62,6 @@ class _SparseTerms(Frozen):
     def from_coefficients(cls, coeffs: Mapping[str, int]):
         items = [(check_label(label), int(c)) for label, c in coeffs.items()]
         return cls(tuple(sorted(item for item in items if item[1])))
-
-    def coefficient(self, label: str) -> int:
-        for name, c in self.terms:
-            if name == label:
-                return c
-        return 0
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -170,9 +163,8 @@ def check_support(generators: tuple[str, ...] | frozenset[str], w: AffineWord | 
             raise UnknownGeneratorError(f"unknown generator {g!r}")
 
 
-@lru_cache(maxsize=8)  # more presentations than the warm-query workload keeps live
-def _relation_hnf(p: AbelianHeapPresentation) -> tuple[IntMatrix, tuple, Mapping[str, int]]:
-    """The Hermite basis of the relations of ``p`` (rank x n), its pivot rows and the generator index.
+def _relation_hnf(p: AbelianHeapPresentation) -> IntMatrix:
+    """The Hermite basis of the relations of ``p``: its rank nonzero rows.
 
     A relation with a nonzero residue against the basis so far runs ``hnf``
     on the basis plus that residue, at most rank + 1 rows.  The Hermite form
@@ -189,41 +181,34 @@ def _relation_hnf(p: AbelianHeapPresentation) -> tuple[IntMatrix, tuple, Mapping
             h, _ = hnf(IntMatrix.from_rows(basis.to_rows() + [rest], cols=n))
             basis = IntMatrix.from_rows([row for row in h.to_rows() if any(row)], cols=n)
             pivots = pivot_rows(basis)
-    return basis, tuple(pivots), MappingProxyType(index)
+    return basis
+
+
+@lru_cache(maxsize=8)  # more presentations than the warm-query workload keeps live
+def _relation_lattice(p: AbelianHeapPresentation) -> tuple[IntMatrix, GroupStructure]:
+    """The Hermite basis of ``p`` and the retract structure at its first generator, the membership kernel."""
+    basis = _relation_hnf(p)
+    return basis, _structure(p.generators, basis, p.generators[0])
 
 
 def in_relation_lattice(p: AbelianHeapPresentation, coeffs: Mapping[str, int]) -> bool:
-    """True when the sum-zero vector lies in the span of the relations of ``p``."""
-    basis, pivots, index = _relation_hnf(p)
-    vec = [0] * len(index)
-    for g, c in coeffs.items():
-        if g not in index:
-            raise UnknownGeneratorError(f"unknown generator {g!r}")
-        vec[index[g]] = c
-    return not any(residue(basis, vec, pivots))
+    """True when the vector lies in the span of the relations of ``p``."""
+    return _relation_lattice(p)[1]._holds(coeffs.items())
 
 
 def lattice_membership(p: AbelianHeapPresentation):
-    """A test of many vectors against the relations of ``p``, with one basis lookup for all.
+    """A test of many vectors against the relations of ``p``, with one lookup for all.
 
     The test takes (coefficient, word) pairs and tells whether their weighted sum is a relation.
     """
-    basis, pivots, index = _relation_hnf(p)
-
-    def member(parts: Iterable[tuple[int, _SparseTerms]]) -> bool:
-        vec = [0] * len(index)
-        for c, w in parts:
-            for g, d in w.terms:
-                vec[index[g]] += c * d
-        return not any(residue(basis, vec, pivots))
-
-    return member
+    holds = _relation_lattice(p)[1]._holds
+    return lambda parts: holds([(g, c * d) for c, w in parts for g, d in w.terms])
 
 
 def word_equal(p: AbelianHeapPresentation, w1: AffineWord, w2: AffineWord) -> bool:
-    check_support(p.generators, w1)
-    check_support(p.generators, w2)
-    diff = combine([(1, w1.as_dict()), (-1, w2.as_dict())])
+    diff = dict(w1.terms)  # cancelled labels stay, as zeros, so that each is checked
+    for g, c in w2.terms:
+        diff[g] = diff.get(g, 0) - c
     return in_relation_lattice(p, diff)
 
 
@@ -233,30 +218,38 @@ class GroupStructure(Frozen):
     ``class_coordinates`` maps a word to rank + torsion many integers, the
     free coordinates first, each torsion coordinate reduced into [0, d).
     The basepoint maps to the zero vector and the map is constant on
-    word_equal classes.
+    word_equal classes.  ``_images`` holds each generator's image on those
+    coordinates and ``_moduli`` each coordinate's modulus (0 when free); the
+    instance ``__dict__`` indexes the images by label.
     """
 
-    __slots__ = ("generators", "base", "axis", "invariants", "_transform", "_free_columns", "_torsion_columns")
+    __slots__ = ("generators", "base", "axis", "invariants", "_images", "_moduli", "__dict__")
 
     def __init__(self, generators: tuple[str, ...], base: str, axis: tuple[str, ...], invariants: InvariantFactors,
-                 _transform: tuple[tuple[int, ...], ...], _free_columns: tuple[int, ...],
-                 _torsion_columns: tuple[tuple[int, int], ...]):
+                 _images: tuple[tuple[int, ...], ...], _moduli: tuple[int, ...]):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "invariants", invariants)
-        object.__setattr__(self, "_transform", _transform)
-        object.__setattr__(self, "_free_columns", _free_columns)
-        object.__setattr__(self, "_torsion_columns", _torsion_columns)
+        object.__setattr__(self, "_images", _images)
+        object.__setattr__(self, "_moduli", _moduli)
+        vars(self)["_index"] = dict(zip(generators, _images))
+
+    def _coordinates(self, terms: Iterable[tuple[str, int]]) -> tuple[int, ...]:
+        acc, index = [0] * len(self._moduli), self._index
+        for g, c in terms:
+            image = index.get(g)
+            if image is None:
+                raise UnknownGeneratorError(f"unknown generator {g!r}")
+            acc = [a + c * x for a, x in zip(acc, image)]
+        return tuple(a % d if d else a for a, d in zip(acc, self._moduli))
+
+    def _holds(self, terms: Collection[tuple[str, int]]) -> bool:
+        """True when the vector of (label, coefficient) ``terms`` is a relation: it sums to 0 and has class 0."""
+        return not any(self._coordinates(terms)) and sum(c for _, c in terms) == 0
 
     def class_coordinates(self, w: AffineWord) -> tuple[int, ...]:
-        check_support(self.generators, w)
-        v = [w.coefficient(g) for g in self.axis]
-        n = len(self.axis)
-        image = [sum(v[i] * self._transform[i][j] for i in range(n)) for j in range(n)]
-        free = [image[j] for j in self._free_columns]
-        torsion = [image[j] % d for j, d in self._torsion_columns]
-        return tuple(free + torsion)
+        return self._coordinates(w.terms)
 
     def report_lines(self) -> list[str]:
         lines = [f"base {self.base}", f"rank {self.invariants.rank}"]
@@ -271,34 +264,35 @@ class GroupStructure(Frozen):
         return lines
 
 
-def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStructure:
-    """Structure of the retract group at ``base``.
+def _structure(generators: tuple[str, ...], basis: IntMatrix, base: str) -> GroupStructure:
+    """The retract structure at ``base`` of the lattice with Hermite basis ``basis``.
 
     Dropping the base column, i.e. g -> (g - base), is injective on sum-zero
-    vectors; the Smith form of the Hermite basis in those coordinates yields
+    vectors; the Smith form of the basis in those coordinates yields the
     invariant factors and a coordinate map fixed by the lattice and the base.
+    Each generator keeps its row of the column transform on the free and
+    torsion columns only; columns with d = 1 carry no information.
     """
+    axis = tuple(g for g in generators if g != base)
+    k, n = generators.index(base), len(axis)
+    rows = [row[:k] + row[k + 1:] for row in basis.to_rows()]
+    dec = smith_decomposition(hnf(IntMatrix.from_rows(rows, cols=n))[0])
+    r = dec.pivot_count
+    torsion = [j for j in range(r) if dec.diagonal[j] > 1]
+    columns = list(range(r, n)) + torsion
+    moduli = (0,) * (n - r) + tuple(dec.diagonal[j] for j in torsion)
+    images = [tuple(row[j] for j in columns) for row in map(dec.right.row, range(n))]
+    images.insert(k, (0,) * len(columns))
+    invariants = InvariantFactors(rank=n - r, torsion=moduli[n - r:])
+    return GroupStructure(generators, base, axis, invariants, tuple(images), moduli)
+
+
+def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStructure:
+    """Structure of the retract group at ``base``; the one at the first generator is the cached kernel."""
     if base not in p.generators:
         raise UnknownGeneratorError(f"basepoint {base!r} is not a generator")
-    axis = tuple(g for g in p.generators if g != base)
-    k = p.generators.index(base)
-    rows = [row[:k] + row[k + 1:] for row in _relation_hnf(p)[0].to_rows()]
-    dec = smith_decomposition(hnf(IntMatrix.from_rows(rows, cols=len(axis)))[0])
-    r = dec.pivot_count
-    n = len(axis)
-    free_columns = tuple(range(r, n))
-    torsion_columns = tuple((j, dec.diagonal[j]) for j in range(r) if dec.diagonal[j] > 1)
-    invariants = InvariantFactors(rank=n - r, torsion=tuple(d for _, d in torsion_columns))
-    transform = tuple(dec.right.row(i) for i in range(n))
-    return GroupStructure(
-        generators=p.generators,
-        base=base,
-        axis=axis,
-        invariants=invariants,
-        _transform=transform,
-        _free_columns=free_columns,
-        _torsion_columns=torsion_columns,
-    )
+    basis, kernel = _relation_lattice(p)
+    return kernel if base == kernel.base else _structure(p.generators, basis, base)
 
 
 class PresentationMorphism(Frozen):

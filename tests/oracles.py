@@ -363,7 +363,7 @@ def axis_class_coordinates(p, base):
     eager Smith elimination of its nonzero rows gives the coordinate map.
     """
     axis = [g for g in p.generators if g != base]
-    h = hermite_rows([[r.coefficient(g) for g in axis] for r in p.relations], len(axis))
+    h = hermite_rows([[r.as_dict().get(g, 0) for g in axis] for r in p.relations], len(axis))
     diagonal, _, right = smith_with_transforms(h, len(axis))
     rank = sum(1 for d in diagonal if d)
     coords = {}

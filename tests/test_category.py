@@ -25,8 +25,9 @@ from k0heap.instances import finite_sets_spec, swindle_spec, vect_spec
 from k0heap.presentation import (
     AbelianHeapPresentation,
     AffineWord,
+    GroupStructure,
     RelationVector,
-    _relation_hnf,
+    _relation_lattice,
     combine,
     in_relation_lattice,
     induced_morphism,
@@ -384,19 +385,21 @@ def test_presentations_still_check_every_label(ch):
 
 
 def test_checks_look_each_basis_up_once_per_presentation(monkeypatch):
-    # every query passes the pivot rows cached with its basis, found once per build
-    queries = []
-    residue = presentation.residue
-    monkeypatch.setattr(presentation, "residue", lambda h, v, pivots: queries.append(pivots) or residue(h, v, pivots))
+    # a query reads the cached retract structure's coordinates: no query reduces against the basis
+    reductions, queries = [], []
+    residue, holds = presentation.residue, GroupStructure._holds
+    monkeypatch.setattr(presentation, "residue", lambda h, v, pivots: reductions.append(v) or residue(h, v, pivots))
+    monkeypatch.setattr(GroupStructure, "_holds", lambda gs, terms: queries.append(gs) or holds(gs, terms))
 
     def run(check, *args, bases):
-        pivots = [_relation_hnf(p)[1] for p in bases]  # built first: only the check's own queries count
-        before = _relation_hnf.cache_info()
+        kernels = [_relation_lattice(p)[1] for p in bases]  # built first: only the check's own queries count
+        before = _relation_lattice.cache_info()
+        reductions.clear()
         queries.clear()
         result = check(*args)
-        after = _relation_hnf.cache_info()
-        assert after.misses == before.misses
-        assert all(any(q is known for known in pivots) for q in queries)
+        after = _relation_lattice.cache_info()
+        assert after.misses == before.misses and not reductions
+        assert all(any(q is known for known in kernels) for q in queries)
         return result, after.hits - before.hits, len(queries)
 
     for s in (vect_spec(6), swindle_spec(6)):

@@ -9,6 +9,7 @@ from k0heap.lattice import (
     InvariantFactors,
     hnf,
     identity_matrix,
+    pivot_rows,
     residue,
     smith_decomposition,
     snf,
@@ -19,7 +20,8 @@ entries = st.integers(min_value=-9, max_value=9)
 
 
 def member(m, v):
-    return not any(residue(hnf(m)[0], v))
+    h = hnf(m)[0]
+    return not any(residue(h, v, pivot_rows(h)))
 
 
 def square(n):

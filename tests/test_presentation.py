@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k0heap import presentation
-from k0heap.lattice import IntMatrix, hnf
+from k0heap.lattice import IntMatrix, hnf, pivot_rows, residue
 from k0heap.presentation import (
     AbelianHeapPresentation,
     combine,
@@ -18,12 +18,16 @@ from k0heap.presentation import (
     bracket,
     in_relation_lattice,
     induced_morphism,
+    lattice_membership,
     normalize_affine,
     retract_group_structure,
     truss_from_table,
     word_equal,
     _relation_hnf,
+    _relation_lattice,
 )
+
+from oracles import axis_class_coordinates
 
 GENS = ("e", "a", "b", "c")
 
@@ -66,9 +70,7 @@ def test_from_coefficients_drops_zeros_and_sorts():
     r = RelationVector.from_coefficients({"c": 1, "z": 0, "b": -1})
     assert w.terms == (("b", -1), ("c", 2))
     assert r.terms == (("b", -1), ("c", 1))
-    assert (w.support, w.coefficient("c"), w.coefficient("a"), w.as_dict()) == (
-        ("b", "c"), 2, 0, {"b": -1, "c": 2}
-    )
+    assert (w.support, w.as_dict()) == (("b", "c"), {"b": -1, "c": 2})
     assert (str(w), str(r), str(rel())) == ("b:-1 c:2", "b:-1 c:1", "0")
     with pytest.raises(ValueError):
         AffineWord.from_coefficients({"a": 1, "b[": 0})  # zero terms are still labels
@@ -132,10 +134,8 @@ def inserted_basis(p, monkeypatch):
     """The basis built without the cache, and the number of relations it inserted."""
     inserts = []
     monkeypatch.setattr(presentation, "hnf", lambda m: inserts.append(m.rows) or hnf(m))
-    basis, pivots, index = _relation_hnf.__wrapped__(p)
+    basis = _relation_hnf(p)
     monkeypatch.undo()
-    assert index == {g: j for j, g in enumerate(p.generators)}
-    assert [c for c, _ in pivots] == [next(c for c, x in enumerate(row) if x) for row in basis.to_rows()]
     assert all(rows <= basis.rows + 1 for rows in inserts)
     return basis, len(inserts)
 
@@ -193,20 +193,90 @@ def test_retract_group_depends_only_on_the_lattice_and_the_base(case):
             assert gp.class_coordinates(gen(g)) == gq.class_coordinates(gen(g)), (base, g)
 
 
+def test_a_vector_whose_coefficients_do_not_sum_to_zero_is_no_relation():
+    # dropping the base column alone would accept both: x - y is a relation, so x and y share a class
+    p = AbelianHeapPresentation(generators=("y", "x"), relations=(rel(x=1, y=-1),))
+    assert in_relation_lattice(p, {"x": 1, "y": -1})
+    assert not in_relation_lattice(p, {"x": 1})
+    assert not in_relation_lattice(p, {"y": 1})
+    assert not lattice_membership(p)(((1, gen("x")),))
+
+
+@st.composite
+def torsion_presentations(draw):
+    """Relations d(t - s) with d >= 2 and scaled sum-zero rows free of t, under shuffled labels and rows.
+
+    Written relative to s, the lattice is Z(d e_t) + L' with L' off the t axis, so every retract has torsion.
+    """
+    n = draw(st.integers(min_value=2, max_value=6))
+    d = draw(st.integers(min_value=2, max_value=6))
+    rows = [[-d, d] + [0] * (n - 2)]
+    for r, scale in draw(st.lists(st.tuples(st.lists(st.integers(-4, 4), min_size=n - 2, max_size=n - 2),
+                                            st.integers(1, 3)), max_size=n)):
+        rows.append([-scale * sum(r), 0] + [scale * x for x in r])
+    rows = draw(st.permutations(rows))
+    labels = tuple(f"g{i}" for i in range(n))
+    relations = tuple(RelationVector.from_coefficients(dict(zip(labels, row))) for row in rows)
+    return AbelianHeapPresentation(generators=tuple(draw(st.permutations(labels))), relations=relations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(torsion_presentations(), st.data())
+def test_membership_matches_dense_residue_against_the_hermite_form(p, data):
+    h = hnf(IntMatrix.from_rows([[r.as_dict().get(g, 0) for g in p.generators] for r in p.relations]))[0]
+    pivots = pivot_rows(h)
+    assert retract_group_structure(p, p.generators[0]).invariants.torsion
+    member = lattice_membership(p)
+    coeff = st.integers(-5, 5)
+    for i in range(8):
+        if i % 2:  # a lattice combination, perhaps zero
+            cs = data.draw(st.lists(coeff, min_size=len(p.relations), max_size=len(p.relations)))
+            v = combine((c, r.as_dict()) for c, r in zip(cs, p.relations))
+        else:
+            v = dict(zip(p.generators, data.draw(st.lists(coeff, min_size=len(p.generators), max_size=len(p.generators)))))
+            v[p.generators[-1]] -= sum(v.values())
+        dense = not any(residue(h, [v.get(g, 0) for g in p.generators], pivots))
+        assert in_relation_lattice(p, v) == dense == member([(c, gen(g)) for g, c in v.items()])
+        assert dense or i % 2 == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(torsion_presentations(), st.data())
+def test_class_coordinates_of_words_are_the_eager_sums_reduced(p, data):
+    for base in p.generators:
+        gs = retract_group_structure(p, base)
+        rank, torsion = gs.invariants.rank, gs.invariants.torsion
+        assert torsion
+        coords = axis_class_coordinates(p, base)
+        for _ in range(3):
+            support = data.draw(st.lists(st.sampled_from(p.generators), min_size=1, max_size=4, unique=True))
+            cs = data.draw(st.lists(st.integers(-6, 6), min_size=len(support), max_size=len(support)))
+            cs[0] += 1 - sum(cs)
+            w = AffineWord.from_coefficients(dict(zip(support, cs)))
+            sums = [sum(c * coords[g][j] for g, c in w.terms) for j in range(rank + len(torsion))]
+            assert gs.class_coordinates(w) == tuple(x % torsion[j - rank] if j >= rank else x
+                                                   for j, x in enumerate(sums))
+
+
 def test_basis_cache_evicts_the_least_recently_used_presentation():
+    # one entry per presentation: its basis and the retract structure at its first generator
     presentations = [
         AbelianHeapPresentation(generators=(f"g{i}", "h"), relations=(rel(**{f"g{i}": 1, "h": -1}),))
-        for i in range(_relation_hnf.cache_info().maxsize + 1)
+        for i in range(_relation_lattice.cache_info().maxsize + 1)
     ]
-    _relation_hnf.cache_clear()
+    _relation_lattice.cache_clear()
     for p in presentations:
         assert in_relation_lattice(p, {})
-    info = _relation_hnf.cache_info()
+    info = _relation_lattice.cache_info()
     assert info.currsize == info.maxsize == len(presentations) - 1
-    in_relation_lattice(presentations[1], {})
-    assert _relation_hnf.cache_info().hits == info.hits + 1
+    basis, kernel = _relation_lattice(presentations[1])
+    assert _relation_lattice.cache_info().hits == info.hits + 1
+    assert basis == _relation_hnf(presentations[1]) and kernel.base == "g1"
+    assert retract_group_structure(presentations[1], "g1") is kernel
+    assert retract_group_structure(presentations[1], "h") == retract_group_structure(presentations[1], "h") != kernel
+    assert _relation_lattice.cache_info().hits == info.hits + 4
     in_relation_lattice(presentations[0], {})
-    assert _relation_hnf.cache_info().misses == info.misses + 1
+    assert _relation_lattice.cache_info().misses == info.misses + 1
 
 
 def test_word_equal_reflexive_and_relation_driven():

@@ -97,8 +97,9 @@ CASES = {
                    lambda: AffineWord(terms=(("a", 1),)), True, "terms"),
     "RelationVector": (_rel, lambda: RelationVector(terms=()), True, "terms"),
     "AbelianHeapPresentation": (_presentation, lambda: _presentation(()), True, "relations"),
-    "GroupStructure": (lambda: retract_group_structure(_presentation(), "a"),
-                       lambda: retract_group_structure(_presentation(), "b"), True, "base"),
+    # at "a", the first generator, every call returns the one cached membership kernel
+    "GroupStructure": (lambda: retract_group_structure(_presentation(), "b"),
+                       lambda: retract_group_structure(_presentation(), "a"), True, "base"),
     "PresentationMorphism": (
         lambda: PresentationMorphism(source=_presentation(), target=_presentation(), images={"a": _word(a=1)}),
         lambda: PresentationMorphism(source=_presentation(), target=_presentation(), images={"a": _word(b=1)}),
@@ -268,3 +269,16 @@ def test_heap_models_keep_index_tables_outside_their_value():
         assert pickle.dumps(twin) == pickle.dumps(value)
         again = pickle.loads(pickle.dumps(twin))
         assert again == value and vars(again)["_tables"] == vars(value)["_tables"]
+
+
+def test_group_structure_keeps_its_label_index_outside_its_value():
+    """The cached kernel compares, hashes, prints and pickles by its fields; a rebuilt value indexes its images again."""
+    kernel = retract_group_structure(_presentation(), "a")
+    assert kernel is retract_group_structure(_presentation(), "a")
+    assert list(vars(kernel)) == ["_index"] and "_index" not in repr(kernel)
+    twin = copy.deepcopy(kernel)
+    vars(twin)["_index"] = None
+    assert twin == kernel and hash(twin) == hash(kernel) and pickle.dumps(twin) == pickle.dumps(kernel)
+    again = pickle.loads(pickle.dumps(twin))
+    assert again == kernel and vars(again) == vars(kernel)
+    assert again.class_coordinates(_word(b=1)) == kernel.class_coordinates(_word(b=1))
