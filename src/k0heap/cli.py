@@ -21,10 +21,10 @@ from .dsl import (
     SpecSource,
     WordSyntaxError,
     bracket_text,
+    data_lines,
     parse_bracket_word,
     parse_spec,
     print_spec,
-    split_lines,
 )
 
 # each command loads the layers it runs: ``reduce`` loads heaps, and none of category, presentation and lattice
@@ -63,11 +63,18 @@ def _parse_word(text: str, what: str):
 
 def _load_presentation(path: str):
     from .category import k0_presentation
-    spec = _load_spec(path)
-    try:
-        return k0_presentation(spec)
-    except ValueError as exc:  # a spec with no objects
-        raise CliError(str(exc), 2)
+    return k0_presentation(_load_spec(path))
+
+
+def _leaves(tree):
+    """The label at each leaf of a parsed bracket word."""
+    stack = [tree]  # depth is bounded only by memory
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            yield node
+        else:
+            stack.extend(node)
 
 
 def _emit(args, command: str, lines: list[str]) -> None:
@@ -88,12 +95,8 @@ def cmd_present(args) -> int:
 
 
 def cmd_group(args) -> int:
-    from .presentation import UnknownGeneratorError, retract_group_structure
-    p = _load_presentation(args.file)
-    try:
-        gs = retract_group_structure(p, args.base)
-    except UnknownGeneratorError as exc:
-        raise CliError(str(exc), 2)
+    from .presentation import retract_group_structure
+    gs = retract_group_structure(_load_presentation(args.file), args.base)
     _emit(args, "group", gs.report_lines())
     return 0
 
@@ -102,11 +105,12 @@ def cmd_equal(args) -> int:
     from .presentation import UnknownGeneratorError, normalize_affine, word_equal
     p = _load_presentation(args.file)
     trees = [_parse_word(args.word1, "word 1"), _parse_word(args.word2, "word 2")]
-    try:
-        w1, w2 = (normalize_affine(t) for t in trees)
-        verdict = word_equal(p, w1, w2)
-    except (UnknownGeneratorError, ValueError) as exc:
-        raise CliError(str(exc), 2)
+    for tree in trees:  # a label that cancels out of its word is still checked
+        unknown = sorted(set(_leaves(tree)).difference(p.generators))
+        if unknown:
+            raise UnknownGeneratorError(f"unknown generator {unknown[0]!r}")
+    w1, w2 = (normalize_affine(t) for t in trees)
+    verdict = word_equal(p, w1, w2)
     _emit(args, "equal", [f"word1 {w1}", f"word2 {w2}", f"equal {'true' if verdict else 'false'}"])
     return 0
 
@@ -135,10 +139,7 @@ def cmd_truss_check(args) -> int:
 def cmd_project(args) -> int:
     from .category import compare_projection, k0_presentation, split_presentation
     spec = _load_spec(args.file)
-    try:
-        split = split_presentation(spec)
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    split = split_presentation(spec)
     full = k0_presentation(spec)
     report = compare_projection(split, full)
     lines = [
@@ -154,10 +155,7 @@ def cmd_project(args) -> int:
 
 def _parse_map_file(path: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(split_lines(_read_file(path)), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(_read_file(path)):
         parts = line.split()
         if len(parts) != 3 or parts[1] != "=>":
             raise CliError(f"{path}:{lineno}: expected 'SRC => DST'", 2)
@@ -173,10 +171,7 @@ def cmd_morphism(args) -> int:
     source = _load_spec(args.source)
     target = _load_spec(args.target)
     mapping = _parse_map_file(args.mapfile)
-    try:
-        report = functor_induced(FunctorSpec(source=source, target=target, object_map=mapping))
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    report = functor_induced(FunctorSpec(source=source, target=target, object_map=mapping))
     lines = [f"heap-morphism {'true' if report.heap.ok else 'false'}"]
     if report.heap.witness is not None:
         lines.append(f"witness {report.heap.witness}")
@@ -195,11 +190,7 @@ def cmd_morphism(args) -> int:
 def cmd_reduce(args) -> int:
     from . import heaps  # the heap layer loads only for the command that runs it
 
-    tree = _parse_word(args.word, "word")
-    try:
-        reduced = heaps.reduce_word(heaps.word_from_tree(tree))
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    reduced = heaps.reduce_word(heaps.word_from_tree(_parse_word(args.word, "word")))
     if args.format == "structured":
         _emit(args, "reduce", ["word " + " ".join(reduced.letters)])
     else:
@@ -210,10 +201,7 @@ def cmd_reduce(args) -> int:
 def cmd_snf(args) -> int:
     from .lattice import IntMatrix, snf
     rows = []
-    for lineno, raw in enumerate(split_lines(sys.stdin.read()), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(sys.stdin.read()):
         try:
             rows.append([int(tok) for tok in line.split()])
         except ValueError:
@@ -238,14 +226,11 @@ def cmd_demo(args) -> int:
             n = int(args.arg)
         except ValueError:
             raise CliError(f"demo {kind}: bound must be an integer, got {args.arg!r}", 2)
-        try:
-            spec = {
-                "set": instances.finite_sets_spec,
-                "vect": instances.vect_spec,
-                "swindle": instances.swindle_spec,
-            }[kind](n)
-        except ValueError as exc:
-            raise CliError(str(exc), 2)
+        spec = {
+            "set": instances.finite_sets_spec,
+            "vect": instances.vect_spec,
+            "swindle": instances.swindle_spec,
+        }[kind](n)
         sys.stdout.write(print_spec(spec))
         return 0
     if kind == "zmod":
@@ -341,9 +326,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # a ValueError is bad input that the command did not prefix
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else 2
 
 
 def main() -> None:

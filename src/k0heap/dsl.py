@@ -24,7 +24,7 @@ string, so a parsed spec holds one copy of each label.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from ._frozen import check_label
 
@@ -49,6 +49,14 @@ def split_lines(text: str) -> list[str]:
     in the package splits its input here.
     """
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of ``text`` with its '#' comment and outer whitespace cut, if not blank."""
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 class SpecSource(NamedTuple):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from ._frozen import Frozen
 from .category import CategorySpec, PushoutEntry
-from .dsl import CW_CONVENTIONS, SpecSource, parse_spec, split_lines
+from .dsl import CW_CONVENTIONS, SpecSource, data_lines, parse_spec
 from .presentation import AffineWord, combine
 
 
@@ -93,6 +93,15 @@ def set_pushout(span: FiniteSetSpan) -> SetPushoutResult:
     return SetPushoutResult(size=len(groups), classes=classes)
 
 
+def _arithmetic_tables(label: tuple[str, ...]) -> tuple[dict, dict]:
+    """Sums and products of the numbers labelled ``label[0]`` ... ``label[n]``, kept where the result is at most n."""
+    n = len(label) - 1
+    pairs = [(a, b) for a in range(n + 1) for b in range(n + 1)]
+    sums = {(label[a], label[b]): label[a + b] for a, b in pairs if a + b <= n}
+    products = {(label[a], label[b]): label[a * b] for a, b in pairs if a * b <= n}
+    return sums, products
+
+
 def finite_sets_spec(n: int) -> CategorySpec:
     """Cardinality classes 'empty', '1' ... 'n' with all bounded pushouts.
 
@@ -119,18 +128,7 @@ def finite_sets_spec(n: int) -> CategorySpec:
         for c in range(b, n - a + b + 1)
     ]
     entries.sort()
-    sums = {
-        (label[a], label[b]): label[a + b]
-        for a in range(n + 1)
-        for b in range(n + 1)
-        if a + b <= n
-    }
-    products = {
-        (label[a], label[b]): label[a * b]
-        for a in range(n + 1)
-        for b in range(n + 1)
-        if a * b <= n
-    }
+    sums, products = _arithmetic_tables(label)
     return CategorySpec(
         objects=objects,
         pushouts=tuple(entries),
@@ -169,10 +167,7 @@ def vect_spec(n: int) -> CategorySpec:
                     )
                 )
     entries.sort()
-    sums = {(label[a], label[b]): label[a + b] for a in range(n + 1) for b in range(n + 1) if a + b <= n}
-    products = {
-        (label[a], label[b]): label[a * b] for a in range(n + 1) for b in range(n + 1) if a * b <= n
-    }
+    sums, products = _arithmetic_tables(label)
     return CategorySpec(
         objects=objects,
         pushouts=tuple(entries),
@@ -265,10 +260,7 @@ class CWComplexSpec(Frozen):
 def parse_cell_counts(text: str) -> CWComplexSpec:
     """One cell count per line; blank lines and '#' comments are ignored."""
     counts = []
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         try:
             counts.append(int(line))
         except ValueError:

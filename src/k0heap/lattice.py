@@ -3,10 +3,12 @@
 All arithmetic is arbitrary-precision Python int.  A lattice is always the
 integer span of the *rows* of a matrix: relations are row vectors over
 generator coordinates, and a vector lies in the lattice exactly when its
-``residue`` against the Hermite form is zero.  ``residue`` serves the
-insertion of rows into a Hermite basis (see ``presentation``, whose queries
-read the Smith coordinates of the built lattice).  Entry growth during
-elimination is kept in check by pivoting on a least nonzero entry.
+``residue`` against the Hermite form is empty.  ``residue`` works on sparse
+vectors and sparse pivot rows, so reducing a relation touches only its own
+terms and the rows that clear them; it serves the insertion of rows into a
+Hermite basis (see ``presentation``, whose queries read the Smith
+coordinates of the built lattice).  Entry growth during elimination is kept
+in check by pivoting on a least nonzero entry.
 
 Only the transforms a caller reads are built.  ``hnf`` returns its rows x
 rows transform, so a caller with many rows inserts them one at a time;
@@ -19,7 +21,7 @@ Matrices are immutable values; every function returns fresh objects.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._frozen import Frozen
 
@@ -179,26 +181,30 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(a, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows)
 
 
-def pivot_rows(h: IntMatrix) -> list[tuple[int, tuple[int, ...]]]:
-    """(pivot column, row) for each nonzero row of a matrix in row HNF, in order."""
-    rows = (h.row(i) for i in range(h.rows))
-    return [(next(c for c, x in enumerate(row) if x), row) for row in rows if any(row)]
+def residue(pivots: Mapping[int, tuple[int, tuple[tuple[int, int], ...]]], v: Mapping[int, int]) -> dict[int, int]:
+    """Reduce the sparse vector ``v`` ({column: value}) against the rows of a row HNF.
 
-
-def residue(h: IntMatrix, v: Sequence[int], pivots: Sequence) -> tuple[int, ...]:
-    """Reduce ``v`` against a matrix already in row HNF, whose ``pivot_rows`` are ``pivots``.
-
-    The result is zero exactly when ``v`` lies in the row span of ``h``.
+    ``pivots`` maps each row's pivot column to (pivot, ((column, value), ...))
+    with the row's other nonzero entries.  The least remaining column c is
+    cleared by its pivot row, the only row with pivot >= c that is nonzero at
+    c; the remainder is returned at the first c with no pivot row or whose
+    entry the pivot does not divide.  So it is empty exactly when ``v`` lies in
+    the row span, and it always differs from ``v`` by a vector of that span.
     """
-    if len(v) != h.cols:
-        raise ValueError(f"vector length {len(v)} does not match {h.cols} columns")
-    w = list(v)
-    for c, row in pivots:
-        q = w[c] // row[c]
-        if q:
-            for j in range(c, h.cols):
-                w[j] -= q * row[j]
-    return tuple(w)
+    w = {c: x for c, x in v.items() if x}
+    while w:
+        c = min(w)
+        row = pivots.get(c)
+        if row is None or w[c] % row[0]:
+            return w
+        q = w.pop(c) // row[0]
+        for j, x in row[1]:
+            y = w.get(j, 0) - q * x
+            if y:
+                w[j] = y
+            else:
+                del w[j]
+    return w
 
 
 def _smith_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> None:

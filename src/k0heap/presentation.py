@@ -9,11 +9,14 @@ first generator is the one membership kernel: a vector is a relation
 exactly when it sums to zero and all its class coordinates there are zero.
 
 Presentations are immutable and hashable.  Each presentation's Hermite
-basis, built by inserting the relations one at a time, and that kernel are
-kept in a fixed-size module-level ``lru_cache`` keyed by the presentation's
-value, so each lookup hashes the whole presentation.  A check (truss,
-projection, morphism) makes one lookup per presentation, ``word_equal`` one
-per query; a query costs |support| x (free + torsion) products.
+basis is built one relation at a time, by reducing the relation's own
+terms against the basis's sparse pivot rows; only a relation that the basis
+so far does not span is densified and inserted.  That basis and the kernel
+are kept in a fixed-size module-level ``lru_cache`` keyed by the
+presentation's value, so each lookup hashes the whole presentation.  A
+check (truss, projection, morphism) makes one lookup per presentation,
+``word_equal`` one per query; a query costs |support| x (free + torsion)
+products.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from types import MappingProxyType
 from typing import ClassVar, Collection, Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, check_label
-from .lattice import IntMatrix, InvariantFactors, hnf, pivot_rows, residue, smith_decomposition
+from .lattice import IntMatrix, InvariantFactors, hnf, residue, smith_decomposition
 
 
 class UnknownGeneratorError(ValueError):
@@ -166,22 +169,22 @@ def check_support(generators: tuple[str, ...] | frozenset[str], w: AffineWord | 
 def _relation_hnf(p: AbelianHeapPresentation) -> IntMatrix:
     """The Hermite basis of the relations of ``p``: its rank nonzero rows.
 
-    A relation with a nonzero residue against the basis so far runs ``hnf``
-    on the basis plus that residue, at most rank + 1 rows.  The Hermite form
-    of a lattice is unique, so the basis is the one the whole matrix gives.
+    Each relation's own terms are reduced against the sparse pivot rows of
+    the basis so far.  A nonempty residue lies in relation + lattice, so
+    ``hnf`` on the basis plus that residue, densified, spans the same lattice
+    as with the relation, at most rank + 1 rows.  The Hermite form of a
+    lattice is unique, so the basis is the one the whole matrix gives.
     """
     n, index = len(p.generators), {g: j for j, g in enumerate(p.generators)}
-    basis, pivots = IntMatrix(0, n, ()), []
+    rows, pivots = [], {}
     for r in p.relations:
-        vec = [0] * n
-        for g, c in r.terms:
-            vec[index[g]] = c
-        rest = residue(basis, vec, pivots)
-        if any(rest):
-            h, _ = hnf(IntMatrix.from_rows(basis.to_rows() + [rest], cols=n))
-            basis = IntMatrix.from_rows([row for row in h.to_rows() if any(row)], cols=n)
-            pivots = pivot_rows(basis)
-    return basis
+        rest = residue(pivots, {index[g]: c for g, c in r.terms})
+        if rest:
+            h, _ = hnf(IntMatrix.from_rows(rows + [[rest.get(j, 0) for j in range(n)]], cols=n))
+            rows = [row for row in h.to_rows() if any(row)]
+            nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+            pivots = {entries[0][0]: (entries[0][1], tuple(entries[1:])) for entries in nonzero}
+    return IntMatrix.from_rows(rows, cols=n)
 
 
 @lru_cache(maxsize=8)  # more presentations than the warm-query workload keeps live

@@ -6,11 +6,13 @@ schoolbook sums over row lists, determinants use cofactor expansion, Smith
 factors come from gcds of minors, group isomorphy is decided by exhaustive
 backtracking search over bijections, and group axioms, heap axioms and heap
 morphisms are checked on every tuple of elements, and Hermite forms come
-from extended-gcd row pairs over the whole matrix.  Three exceptions are
+from extended-gcd row pairs over the whole matrix.  Four exceptions are
 copies of library code as it was before a fast path replaced it:
 ``smith_with_transforms``, the Smith elimination with both transforms built
 eagerly, which pins the lazily built row transform and the class
-coordinates read off the column transform; ``parse_spec_by_columns``,
+coordinates read off the column transform; ``dense_residue``, the dense
+reduction against every pivot row of a Hermite form, which pins the sparse
+``residue`` and lattice membership; ``parse_spec_by_columns``,
 the spec parser that gave every token its column, which pins the parser's
 specs and diagnostics; and ``morphism_check_by_lookup`` with
 ``retract_by_lookup``, the heap-morphism loop and the retract that looked
@@ -353,6 +355,24 @@ def hermite_rows(rows, cols):
                 a[j] = [x - q * y for x, y in zip(a[j], a[r])]
             r += 1
     return a[:r]
+
+
+def dense_residue(h, v):
+    """``v`` reduced against the rows of ``h``, a row Hermite form given as a list of rows.
+
+    Every pivot column is reduced into [0, pivot) by its row, in pivot order,
+    so the result is the same for every vector of v + rowspan(h), and it is
+    zero exactly when ``v`` lies in that span.
+    """
+    if any(len(v) != len(row) for row in h):
+        raise ValueError(f"vector length {len(v)} does not match the rows")
+    w = list(v)
+    for row in h:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            q = w[c] // row[c]
+            w = [x - q * y for x, y in zip(w, row)]
+    return w
 
 
 def axis_class_coordinates(p, base):

@@ -388,7 +388,7 @@ def test_checks_look_each_basis_up_once_per_presentation(monkeypatch):
     # a query reads the cached retract structure's coordinates: no query reduces against the basis
     reductions, queries = [], []
     residue, holds = presentation.residue, GroupStructure._holds
-    monkeypatch.setattr(presentation, "residue", lambda h, v, pivots: reductions.append(v) or residue(h, v, pivots))
+    monkeypatch.setattr(presentation, "residue", lambda pivots, v: reductions.append(v) or residue(pivots, v))
     monkeypatch.setattr(GroupStructure, "_holds", lambda gs, terms: queries.append(gs) or holds(gs, terms))
 
     def run(check, *args, bases):

@@ -141,6 +141,30 @@ def test_equal_unknown_label_is_input_error(data_dir, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+EQUAL_WITH_A_CANCELLED_LABEL = """
+import sys
+from k0heap.cli import run_cli
+assert run_cli(["equal", sys.argv[1], sys.argv[2], sys.argv[3]]) == 2
+assert "k0heap.heaps" not in sys.modules
+"""
+
+
+@pytest.mark.parametrize("words", [("[bogus,bogus,1]", "1"), ("1", "[2,[bogus,3,3],bogus]")])
+def test_equal_checks_a_label_that_cancels_out_of_its_word(data_dir, words):
+    path = str(data_dir / "valid" / "set3.cat")
+    proc = run_module("-c", EQUAL_WITH_A_CANCELLED_LABEL, path, *words, module=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "error: unknown generator 'bogus'\n" and proc.stdout == ""
+
+
+def test_a_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    spec = tmp_path / "latin1.cat"
+    spec.write_bytes(b"object caf\xe9\n")
+    assert run_cli(["present", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9") and err.count("\n") == 1
+
+
 def test_truss_violation_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cat"
     bad.write_text(

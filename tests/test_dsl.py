@@ -10,6 +10,7 @@ from k0heap.dsl import (
     SpecSource,
     WordSyntaxError,
     bracket_text,
+    data_lines,
     parse_bracket_word,
     parse_spec,
     print_spec,
@@ -111,6 +112,12 @@ def test_spec_lines_end_at_lf_crlf_or_cr_only():
     text = "object A\x0c\r\nobject A\x85\robject B\u2028\nbogus\n"
     diagnostics = [(d.line, d.column, d.message) for d in parse_spec(SpecSource(text)).diagnostics]
     assert diagnostics == [(2, 8, "duplicate object 'A'"), (4, 1, "unknown directive 'bogus'")]
+
+
+def test_data_lines_cut_comments_and_blanks_but_keep_line_numbers():
+    text = "# header\n  a => b  # note\r\n\n   \r#\x0c\n\tc\x85d\n"
+    assert list(data_lines(text)) == [(2, "a => b"), (6, "c\x85d")]
+    assert list(data_lines("")) == []
 
 
 def test_diagnostic_rendering():

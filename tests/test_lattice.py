@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k0heap.lattice import (
@@ -9,19 +9,17 @@ from k0heap.lattice import (
     InvariantFactors,
     hnf,
     identity_matrix,
-    pivot_rows,
     residue,
     smith_decomposition,
     snf,
 )
-from oracles import det_cofactor, matmul, smith_with_transforms, snf_oracle
+from oracles import dense_residue, det_cofactor, matmul, smith_with_transforms, snf_oracle
 
 entries = st.integers(min_value=-9, max_value=9)
 
 
 def member(m, v):
-    h = hnf(m)[0]
-    return not any(residue(h, v, pivot_rows(h)))
+    return not any(dense_residue(hnf(m)[0].to_rows(), v))
 
 
 def square(n):
@@ -211,3 +209,44 @@ def test_member_of_every_row_randomized():
         m = IntMatrix.from_rows(rows)
         for row in rows:
             assert member(m, row)
+
+
+@st.composite
+def hermite_forms_and_vectors(draw):
+    """A row Hermite form with a pivot above 1, and a combination of its rows plus an offset, perhaps zero."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    columns = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    pivot = {c: draw(st.integers(1, 6)) for c in columns}
+    pivot[draw(st.sampled_from(columns))] = draw(st.integers(2, 6))
+    h = []
+    for c in columns:
+        row = [0] * n
+        row[c] = pivot[c]
+        for j in range(c + 1, n):
+            row[j] = draw(st.integers(0, pivot[j] - 1) if j in pivot else entries)
+        h.append(row)
+    coeffs = draw(st.lists(entries, min_size=len(h), max_size=len(h)))
+    offset = draw(st.one_of(st.just([0] * n), st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    return h, [o + sum(a * row[j] for a, row in zip(coeffs, h)) for j, o in enumerate(offset)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_forms_and_vectors())
+@example(([[2, -3, 1]], [3, 0, 0]))  # the pivot does not divide the entry: stop at column 0
+@example(([[1, 5, 0], [0, 0, 4]], [-1, 0, 0]))  # column 1 has no pivot row: stop there
+def test_sparse_residue_matches_the_dense_reduction(case):
+    h, v = case
+    assert hnf(IntMatrix.from_rows(h))[0].to_rows() == h
+    pivots = {}
+    for row in h:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        pivots[nonzero[0][0]] = (nonzero[0][1], tuple(nonzero[1:]))
+    rest = residue(pivots, dict(enumerate(v)))
+    dense = dense_residue(h, v)
+    assert (not rest) == (not any(dense))
+    assert all(rest.values())
+    # the remainder differs from v by a lattice vector, and its least column is one no pivot row clears
+    assert dense_residue(h, [rest.get(j, 0) for j in range(len(v))]) == dense
+    if rest:
+        c = min(rest)
+        assert c not in pivots or rest[c] % pivots[c][0]
