@@ -21,8 +21,8 @@ from .presentation import (
     MorphismReport,
     RelationVector,
     TrussTable,
+    _relation_lattice,
     induced_morphism,
-    lattice_membership,
     retract_group_structure,
 )
 
@@ -213,17 +213,18 @@ class ProjectionReport(NamedTuple):
 def compare_projection(
     split: AbelianHeapPresentation, full: AbelianHeapPresentation
 ) -> ProjectionReport:
+    """Containment of split's lattice in full's, then equality, witnessed by the first relation outside."""
     if split.generators != full.generators:
         raise ValueError("presentations must share the same generator tuple")
-    in_full = lattice_membership(full)
+    full_basis, in_full = _relation_lattice(full)
     for rel in split.relations:
-        if not in_full(((1, rel),)):
+        if any(in_full._coordinates(rel.terms, in_full._index)):
             return ProjectionReport(contained=False, equal=False, witness=rel)
-    in_split = lattice_membership(split)
-    for rel in full.relations:
-        if not in_split(((1, rel),)):
-            return ProjectionReport(contained=True, equal=False, witness=rel)
-    return ProjectionReport(contained=True, equal=True)
+    split_basis, in_split = _relation_lattice(split)
+    if split_basis == full_basis:  # a lattice has one Hermite basis: no full relation needs a test
+        return ProjectionReport(contained=True, equal=True)
+    witness = next(rel for rel in full.relations if any(in_split._coordinates(rel.terms, in_split._index)))
+    return ProjectionReport(contained=True, equal=False, witness=witness)
 
 
 def truss_table(s: CategorySpec) -> TrussTable:

@@ -18,6 +18,7 @@ from .presentation import AffineWord, combine
 
 
 MAX_BOUND = 100  # set/vect 100 have 176,851 / 348,551 pushouts; counts grow as N^3
+MAX_CELLS = 100_000  # a CW word holds two labels per cell, so memory grows with the counts, not the file
 
 
 def _check_bound(n: int) -> None:
@@ -250,6 +251,8 @@ class CWComplexSpec(Frozen):
             raise ValueError("at least one 0-cell is required")
         if any(c < 0 for c in cell_counts):
             raise ValueError("cell counts must be non-negative")
+        if sum(cell_counts) > MAX_CELLS:
+            raise ValueError(f"at most {MAX_CELLS} cells in total, got {sum(cell_counts)}")
         object.__setattr__(self, "cell_counts", cell_counts)
 
     @property
@@ -258,13 +261,16 @@ class CWComplexSpec(Frozen):
 
 
 def parse_cell_counts(text: str) -> CWComplexSpec:
-    """One cell count per line; blank lines and '#' comments are ignored."""
-    counts = []
+    """One cell count per line; blank lines and '#' comments are ignored; the total is capped as it grows."""
+    counts, total = [], 0
     for lineno, line in data_lines(text):
         try:
             counts.append(int(line))
         except ValueError:
             raise ValueError(f"line {lineno}: expected an integer cell count, got {line!r}")
+        total += counts[-1]
+        if total > MAX_CELLS:
+            raise ValueError(f"line {lineno}: at most {MAX_CELLS} cells in total, got {total} so far")
     return CWComplexSpec(cell_counts=tuple(counts))
 
 

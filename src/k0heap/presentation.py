@@ -15,8 +15,8 @@ so far does not span is densified and inserted.  That basis and the kernel
 are kept in a fixed-size module-level ``lru_cache`` keyed by the
 presentation's value, so each lookup hashes the whole presentation.  A
 check (truss, projection, morphism) makes one lookup per presentation,
-``word_equal`` one per query; a query costs |support| x (free + torsion)
-products.
+``word_equal`` one per query.  A check takes the class of each word it needs
+once and tests a relation by the weighted sum of its terms' classes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import cycle
 from types import MappingProxyType
-from typing import ClassVar, Collection, Iterable, Mapping, NamedTuple
+from typing import ClassVar, Hashable, Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, check_label
 from .lattice import IntMatrix, InvariantFactors, hnf, residue, smith_decomposition
@@ -195,17 +195,9 @@ def _relation_lattice(p: AbelianHeapPresentation) -> tuple[IntMatrix, GroupStruc
 
 
 def in_relation_lattice(p: AbelianHeapPresentation, coeffs: Mapping[str, int]) -> bool:
-    """True when the vector lies in the span of the relations of ``p``."""
-    return _relation_lattice(p)[1]._holds(coeffs.items())
-
-
-def lattice_membership(p: AbelianHeapPresentation):
-    """A test of many vectors against the relations of ``p``, with one lookup for all.
-
-    The test takes (coefficient, word) pairs and tells whether their weighted sum is a relation.
-    """
-    holds = _relation_lattice(p)[1]._holds
-    return lambda parts: holds([(g, c * d) for c, w in parts for g, d in w.terms])
+    """True when the vector lies in the span of the relations of ``p``: it sums to 0 and has class 0."""
+    kernel = _relation_lattice(p)[1]
+    return not any(kernel._coordinates(coeffs.items(), kernel._index)) and sum(coeffs.values()) == 0
 
 
 def word_equal(p: AbelianHeapPresentation, w1: AffineWord, w2: AffineWord) -> bool:
@@ -226,33 +218,29 @@ class GroupStructure(Frozen):
     instance ``__dict__`` indexes the images by label.
     """
 
-    __slots__ = ("generators", "base", "axis", "invariants", "_images", "_moduli", "__dict__")
+    __slots__ = ("generators", "base", "invariants", "_images", "_moduli", "__dict__")
 
-    def __init__(self, generators: tuple[str, ...], base: str, axis: tuple[str, ...], invariants: InvariantFactors,
+    def __init__(self, generators: tuple[str, ...], base: str, invariants: InvariantFactors,
                  _images: tuple[tuple[int, ...], ...], _moduli: tuple[int, ...]):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "invariants", invariants)
         object.__setattr__(self, "_images", _images)
         object.__setattr__(self, "_moduli", _moduli)
         vars(self)["_index"] = dict(zip(generators, _images))
 
-    def _coordinates(self, terms: Iterable[tuple[str, int]]) -> tuple[int, ...]:
-        acc, index = [0] * len(self._moduli), self._index
-        for g, c in terms:
-            image = index.get(g)
+    def _coordinates(self, terms: Iterable[tuple[Hashable, int]], images: Mapping) -> tuple[int, ...]:
+        """Class of the sum of c * images[key] over the (key, c) terms; a sum-zero vector is a relation iff it is 0."""
+        acc = [0] * len(self._moduli)
+        for key, c in terms:
+            image = images.get(key)
             if image is None:
-                raise UnknownGeneratorError(f"unknown generator {g!r}")
+                raise UnknownGeneratorError(f"unknown generator {key!r}")
             acc = [a + c * x for a, x in zip(acc, image)]
         return tuple(a % d if d else a for a, d in zip(acc, self._moduli))
 
-    def _holds(self, terms: Collection[tuple[str, int]]) -> bool:
-        """True when the vector of (label, coefficient) ``terms`` is a relation: it sums to 0 and has class 0."""
-        return not any(self._coordinates(terms)) and sum(c for _, c in terms) == 0
-
     def class_coordinates(self, w: AffineWord) -> tuple[int, ...]:
-        return self._coordinates(w.terms)
+        return self._coordinates(w.terms, self._index)
 
     def report_lines(self) -> list[str]:
         lines = [f"base {self.base}", f"rank {self.invariants.rank}"]
@@ -276,8 +264,7 @@ def _structure(generators: tuple[str, ...], basis: IntMatrix, base: str) -> Grou
     Each generator keeps its row of the column transform on the free and
     torsion columns only; columns with d = 1 carry no information.
     """
-    axis = tuple(g for g in generators if g != base)
-    k, n = generators.index(base), len(axis)
+    k, n = generators.index(base), len(generators) - 1
     rows = [row[:k] + row[k + 1:] for row in basis.to_rows()]
     dec = smith_decomposition(hnf(IntMatrix.from_rows(rows, cols=n))[0])
     r = dec.pivot_count
@@ -287,7 +274,7 @@ def _structure(generators: tuple[str, ...], basis: IntMatrix, base: str) -> Grou
     images = [tuple(row[j] for j in columns) for row in map(dec.right.row, range(n))]
     images.insert(k, (0,) * len(columns))
     invariants = InvariantFactors(rank=n - r, torsion=moduli[n - r:])
-    return GroupStructure(generators, base, axis, invariants, tuple(images), moduli)
+    return GroupStructure(generators, base, invariants, tuple(images), moduli)
 
 
 def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStructure:
@@ -327,21 +314,18 @@ def induced_morphism(
     """Check that mapping generators by ``genmap`` sends relations into relations.
 
     On success the linear extension is returned; on failure the first
-    offending source relation is the witness.
+    offending source relation, whose generators' classes in ``dst`` do not sum to 0, is the witness.
     """
-    targets = frozenset(dst.generators)
+    kernel, classes = _relation_lattice(dst)[1], {}
     for g in src.generators:
         if g not in genmap:
             raise ValueError(f"generator map is not total: missing {g!r}")
-        check_support(targets, genmap[g])
-    in_dst = lattice_membership(dst)
+        classes[g] = kernel._coordinates(genmap[g].terms, kernel._index)
     for rel in src.relations:
-        if not in_dst((c, genmap[g]) for g, c in rel.terms):
+        if any(kernel._coordinates(rel.terms, classes)):
             return MorphismReport(ok=False, witness=rel)
     images = {g: genmap[g] for g in src.generators}
-    return MorphismReport(
-        ok=True, morphism=PresentationMorphism(source=src, target=dst, images=images)
-    )
+    return MorphismReport(ok=True, morphism=PresentationMorphism(source=src, target=dst, images=images))
 
 
 class TrussTable(Frozen):
@@ -391,36 +375,30 @@ class TrussCheck(NamedTuple):
 def truss_from_table(p: AbelianHeapPresentation, table: TrussTable) -> TrussCheck:
     """Validate that the relation lattice is a two-sided ideal for the table.
 
-    For every relation r and generator x the pushforwards of r through
-    left and right multiplication by x must stay in the lattice.  Pairs
-    missing from a truncated table are skipped and reported as omitted.
+    For every relation r and generator x the classes of the products of r's
+    terms with x, on the left and on the right, weighted by r, must sum to 0.
+    Pairs missing from a truncated table are skipped and reported as omitted.
     """
-    known = frozenset(p.generators)
+    known, kernel, classes = frozenset(p.generators), _relation_lattice(p)[1], {}
     for (g, h), w in table.entries.items():
         if g not in known or h not in known:
             raise UnknownGeneratorError(f"product entry ({g!r}, {h!r}) mentions unknown generators")
-        check_support(known, w)
+        classes[g, h] = kernel._coordinates(w.terms, kernel._index)
     if table.unit is not None and table.unit not in known:
         raise UnknownGeneratorError(f"unit {table.unit!r} is not a generator")
 
-    member = lattice_membership(p)
     omitted: set[tuple[str, str]] = set()
     for rel in p.relations:
         for x in p.generators:
             for side in ("left", "right"):
-                parts = []
-                missing = False
+                terms = []
                 for g, c in rel.terms:
                     pair = (x, g) if side == "left" else (g, x)
-                    entry = table.entries.get(pair)
-                    if entry is None:
+                    if pair not in classes:
                         omitted.add(pair)
-                        missing = True
                         break
-                    parts.append((c, entry))
-                if missing:
-                    continue
-                if not member(parts):
+                    terms.append((pair, c))
+                if len(terms) == len(rel.terms) and any(kernel._coordinates(terms, classes)):
                     return TrussCheck(
                         ok=False,
                         violation=TrussViolation(relation=rel, side=side, generator=x),
@@ -433,13 +411,10 @@ def truss_from_table(p: AbelianHeapPresentation, table: TrussTable) -> TrussChec
     if table.unit is not None:
         unit_law = "ok"
         for g in p.generators:
-            gen = AffineWord.generator(g)
             for pair in ((table.unit, g), (g, table.unit)):
-                entry = table.entries.get(pair)
-                if entry is None:
+                if pair not in classes:
                     omitted.add(pair)
-                    continue
-                if not member(((1, entry), (-1, gen))):
+                elif classes[pair] != kernel._coordinates(((g, 1),), kernel._index):
                     unit_law = "violated"
 
     return TrussCheck(

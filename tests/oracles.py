@@ -17,7 +17,11 @@ the spec parser that gave every token its column, which pins the parser's
 specs and diagnostics; and ``morphism_check_by_lookup`` with
 ``retract_by_lookup``, the heap-morphism loop and the retract that looked
 every bracket up in the ternary tables, which pin the whole morphism check,
-witness included, and the retract tables in their key order.
+witness included, and the retract tables in their key order.  The three
+lattice checks as they were before they pushed relations through class
+images are kept too: ``truss_check_by_relation_scan``,
+``projection_by_two_scans`` and ``morphism_by_membership`` test each pushed
+relation with one ``in_relation_lattice`` query, and pin the whole reports.
 """
 
 from __future__ import annotations
@@ -26,9 +30,21 @@ import itertools
 import re
 from math import gcd
 
-from k0heap.category import CategorySpec, PushoutEntry, zero_law_violations
+from k0heap.category import CategorySpec, ProjectionReport, PushoutEntry, zero_law_violations
 from k0heap.dsl import Diagnostic, ParseResult, split_lines
 from k0heap.heaps import check_label
+from k0heap.presentation import (
+    AffineWord,
+    MorphismReport,
+    PresentationMorphism,
+    Truss,
+    TrussCheck,
+    TrussViolation,
+    UnknownGeneratorError,
+    check_support,
+    combine,
+    in_relation_lattice,
+)
 
 
 def free_reduce_letters(letters):
@@ -391,6 +407,79 @@ def axis_class_coordinates(p, base):
         image = right[axis.index(g)] if g != base else [0] * len(axis)
         coords[g] = tuple(image[rank:]) + tuple(image[j] % d for j, d in enumerate(diagonal) if d > 1)
     return coords
+
+
+# ------------------------------------------------------------- lattice checks
+#
+# The truss, projection and morphism checks as they were when each pushed
+# relation was one membership query: the weighted sum of its words, tested by
+# ``in_relation_lattice``.  The library now sums precomputed class images.
+
+def _member(p, parts):
+    return in_relation_lattice(p, combine((c, w.as_dict()) for c, w in parts))
+
+
+def truss_check_by_relation_scan(p, table):
+    known = frozenset(p.generators)
+    for (g, h), w in table.entries.items():
+        if g not in known or h not in known:
+            raise UnknownGeneratorError(f"product entry ({g!r}, {h!r}) mentions unknown generators")
+        check_support(known, w)
+    if table.unit is not None and table.unit not in known:
+        raise UnknownGeneratorError(f"unit {table.unit!r} is not a generator")
+    omitted = set()
+    for rel in p.relations:
+        for x in p.generators:
+            for side in ("left", "right"):
+                parts = []
+                for g, c in rel.terms:
+                    pair = (x, g) if side == "left" else (g, x)
+                    entry = table.entries.get(pair)
+                    if entry is None:
+                        omitted.add(pair)
+                        break
+                    parts.append((c, entry))
+                else:
+                    if not _member(p, parts):
+                        return TrussCheck(ok=False, violation=TrussViolation(relation=rel, side=side, generator=x),
+                                          omitted=tuple(sorted(omitted)), unit_law="unchecked", truss=None)
+    unit_law = "unchecked"
+    if table.unit is not None:
+        unit_law = "ok"
+        for g in p.generators:
+            for pair in ((table.unit, g), (g, table.unit)):
+                entry = table.entries.get(pair)
+                if entry is None:
+                    omitted.add(pair)
+                elif not _member(p, ((1, entry), (-1, AffineWord.generator(g)))):
+                    unit_law = "violated"
+    return TrussCheck(ok=True, violation=None, omitted=tuple(sorted(omitted)), unit_law=unit_law,
+                      truss=Truss(presentation=p, table=table))
+
+
+def projection_by_two_scans(split, full):
+    if split.generators != full.generators:
+        raise ValueError("presentations must share the same generator tuple")
+    for rel in split.relations:
+        if not _member(full, ((1, rel),)):
+            return ProjectionReport(contained=False, equal=False, witness=rel)
+    for rel in full.relations:
+        if not _member(split, ((1, rel),)):
+            return ProjectionReport(contained=True, equal=False, witness=rel)
+    return ProjectionReport(contained=True, equal=True)
+
+
+def morphism_by_membership(src, dst, genmap):
+    targets = frozenset(dst.generators)
+    for g in src.generators:
+        if g not in genmap:
+            raise ValueError(f"generator map is not total: missing {g!r}")
+        check_support(targets, genmap[g])
+    for rel in src.relations:
+        if not _member(dst, [(c, genmap[g]) for g, c in rel.terms]):
+            return MorphismReport(ok=False, witness=rel)
+    images = {g: genmap[g] for g in src.generators}
+    return MorphismReport(ok=True, morphism=PresentationMorphism(source=src, target=dst, images=images))
 
 
 # ---------------------------------------------------------------- spec parser

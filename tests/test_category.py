@@ -21,12 +21,13 @@ from k0heap.category import (
     zero_law_violations,
 )
 from k0heap.dsl import SpecSource, parse_spec, print_spec
-from k0heap.instances import finite_sets_spec, swindle_spec, vect_spec
+from k0heap.instances import bounded_abelian_groups_file, finite_sets_spec, swindle_spec, vect_spec
 from k0heap.presentation import (
     AbelianHeapPresentation,
     AffineWord,
     GroupStructure,
     RelationVector,
+    TrussTable,
     _relation_lattice,
     combine,
     in_relation_lattice,
@@ -36,7 +37,7 @@ from k0heap.presentation import (
     truss_from_table,
     word_equal,
 )
-from oracles import axis_class_coordinates
+from oracles import axis_class_coordinates, projection_by_two_scans, truss_check_by_relation_scan
 
 
 def entry(apex, left, right, result, lm=True, rm=False):
@@ -385,35 +386,101 @@ def test_presentations_still_check_every_label(ch):
 
 
 def test_checks_look_each_basis_up_once_per_presentation(monkeypatch):
-    # a query reads the cached retract structure's coordinates: no query reduces against the basis
-    reductions, queries = [], []
-    residue, holds = presentation.residue, GroupStructure._holds
+    # a check reads class images off the cached retract structure: nothing reduces against the basis
+    reductions, calls = [], []
+    residue, coordinates = presentation.residue, GroupStructure._coordinates
     monkeypatch.setattr(presentation, "residue", lambda pivots, v: reductions.append(v) or residue(pivots, v))
-    monkeypatch.setattr(GroupStructure, "_holds", lambda gs, terms: queries.append(gs) or holds(gs, terms))
+    monkeypatch.setattr(GroupStructure, "_coordinates",
+                        lambda gs, terms, images: calls.append(gs) or coordinates(gs, terms, images))
 
     def run(check, *args, bases):
-        kernels = [_relation_lattice(p)[1] for p in bases]  # built first: only the check's own queries count
+        kernels = [_relation_lattice(p)[1] for p in bases]  # built first: only the check's own calls count
         before = _relation_lattice.cache_info()
         reductions.clear()
-        queries.clear()
+        calls.clear()
         result = check(*args)
         after = _relation_lattice.cache_info()
         assert after.misses == before.misses and not reductions
-        assert all(any(q is known for known in kernels) for q in queries)
-        return result, after.hits - before.hits, len(queries)
+        assert all(any(gs is known for known in kernels) for gs in calls)
+        return result, after.hits - before.hits, len(calls)
 
     for s in (vect_spec(6), swindle_spec(6)):
-        full, split = k0_presentation(s), split_presentation(s)
-        check, lookups, tests = run(truss_from_table, full, truss_table(s), bases=(full,))
+        full, split, table = k0_presentation(s), split_presentation(s), truss_table(s)
+        # one class per product entry, one sum per complete (relation, generator, side), one per unit pair
+        complete = sum(all(pair in table.entries for pair in pairs)
+                       for r in full.relations for x in full.generators
+                       for pairs in ([(x, g) for g in r.support], [(g, x) for g in r.support]))
+        unit_pairs = sum(pair in table.entries for g in full.generators for pair in ((table.unit, g), (g, table.unit)))
+        check, lookups, calls_made = run(truss_from_table, full, table, bases=(full,))
         assert check.ok and check.unit_law == "ok"
-        assert lookups == 1 and tests > len(full.relations)
-        report, lookups, tests = run(compare_projection, split, full, bases=(split, full))
+        assert lookups == 1 and calls_made == len(table.entries) + complete + unit_pairs
+        report, lookups, calls_made = run(compare_projection, split, full, bases=(split, full))
         assert report.equal
-        assert lookups == 2 and tests == len(split.relations) + len(full.relations)
+        assert lookups == 2 and calls_made == len(split.relations)  # equal bases: no full relation is tested
         identity = {g: AffineWord.generator(g) for g in full.generators}
-        morphism, lookups, tests = run(induced_morphism, full, full, identity, bases=(full,))
+        morphism, lookups, calls_made = run(induced_morphism, full, full, identity, bases=(full,))
         assert morphism.ok
-        assert lookups == 1 and tests == len(full.relations)
+        assert lookups == 1 and calls_made == len(full.generators) + len(full.relations)
         first, last = (AffineWord.generator(g) for g in (full.generators[0], full.generators[-1]))
-        _, lookups, tests = run(word_equal, full, first, last, bases=(full,))
-        assert lookups == 1 and tests == 1
+        _, lookups, calls_made = run(word_equal, full, first, last, bases=(full,))
+        assert lookups == 1 and calls_made == 1
+
+
+SPEC_TABLES = [finite_sets_spec(5), vect_spec(5), swindle_spec(5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPEC_TABLES), st.data())
+def test_truss_check_matches_the_relation_scan_on_spec_tables(s, data):
+    """Spec product tables with entries dropped and a few sent to another generator: the whole report agrees."""
+    p, table = k0_presentation(s), truss_table(s)
+    entries, pairs = dict(table.entries), sorted(table.entries)
+    for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs) // 3)):
+        entries.pop(pair, None)
+    for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=2)):
+        entries[pair] = AffineWord.generator(data.draw(st.sampled_from(p.generators)))
+    perturbed = TrussTable(entries=entries, unit=table.unit)
+    assert truss_from_table(p, perturbed) == truss_check_by_relation_scan(p, perturbed)
+
+
+@st.composite
+def projection_cases(draw):
+    """A full presentation and a split one drawn from its relations, their lattice combinations and stray vectors.
+
+    A prefix of the shuffled relations plus combinations spans the full lattice or a proper part of it, often
+    with other relations than ``full`` has; a stray vector may leave the full lattice.
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    labels = tuple(f"g{i}" for i in range(n))
+    row = st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)
+    vector = row.map(lambda r: RelationVector.from_coefficients({**dict(zip(labels, r)), labels[-1]: -sum(r)}))
+    relations = draw(st.lists(vector, max_size=5))
+    shuffled = draw(st.permutations(relations))
+    kept = shuffled[:draw(st.integers(0, len(shuffled)))]
+    combos = [
+        RelationVector.from_coefficients(combine((c, r.as_dict()) for c, r in zip(cs, relations)))
+        for cs in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(relations), max_size=len(relations)),
+                                max_size=2))
+    ]
+    strays = draw(st.lists(vector, max_size=1))
+    full = AbelianHeapPresentation(generators=labels, relations=tuple(relations))
+    return AbelianHeapPresentation(generators=labels, relations=tuple(kept + combos + strays)), full
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_cases())
+def test_projection_matches_the_two_scans(case):
+    split, full = case
+    assert compare_projection(split, full) == projection_by_two_scans(split, full)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([vect_spec(6), swindle_spec(6), bounded_abelian_groups_file()]), st.data())
+def test_projection_matches_the_two_scans_on_spec_tables(s, data):
+    """Split presentations from the whole sums table or a truncated one, against the full presentation."""
+    sums = dict(s.sums)
+    for pair in data.draw(st.lists(st.sampled_from(sorted(sums)), max_size=4)):
+        sums.pop(pair, None)
+    truncated = CategorySpec(objects=s.objects, pushouts=s.pushouts, zero=s.zero, sums=sums)
+    split, full = split_presentation(truncated), k0_presentation(s)
+    assert compare_projection(split, full) == projection_by_two_scans(split, full)

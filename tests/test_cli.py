@@ -223,6 +223,17 @@ def test_demo_bound_beyond_the_maximum_is_input_error(capsys):
         assert "bound must be between 1 and" in captured.err
 
 
+def test_demo_cw_names_the_line_where_the_cell_total_passes_the_limit(tmp_path, capsys):
+    # a ten-byte count must not build a word of a billion cells: the total is capped, not the file size
+    for text, lineno, total in (("1000000000\n3\n", 1, 10**9), ("# cells\n60000\n\n40000\n1\n0\n", 5, 100_001)):
+        path = tmp_path / "cells.txt"
+        path.write_text(text)
+        assert run_cli(["demo", "cw", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line {lineno}: at most 100000 cells in total, got {total} so far\n"
+
+
 def test_demo_cw_boundary_convention(data_dir, capsys):
     path = str(data_dir / "cw_example.txt")
     assert run_cli(["demo", "cw", path, "--convention", "boundary"]) == 0

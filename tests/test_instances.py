@@ -5,6 +5,7 @@ import pytest
 from k0heap.category import compare_projection, k0_group, k0_presentation, split_presentation
 from k0heap.instances import (
     MAX_BOUND,
+    MAX_CELLS,
     CWComplexSpec,
     FiniteSetSpan,
     bounded_abelian_groups_file,
@@ -152,6 +153,14 @@ def test_cw_examples():
     assert cw_class(CWComplexSpec((2, 1))) == AffineWord.from_coefficients(
         {"D1": 1, "S1": -1, "pt": 2, "empty": -1}
     )
+
+
+def test_cw_spec_caps_the_total_cell_count():
+    assert CWComplexSpec((MAX_CELLS - 1, 1)).cell_counts == (MAX_CELLS - 1, 1)
+    with pytest.raises(ValueError, match=rf"^at most {MAX_CELLS} cells in total, got {MAX_CELLS + 1}$"):
+        CWComplexSpec((MAX_CELLS, 0, 1))
+    with pytest.raises(ValueError, match=rf"^line 2: at most {MAX_CELLS} cells in total"):
+        parse_cell_counts(f"{MAX_CELLS}\n1\nnot a count\n")  # the total is named before a later bad line
 
 
 def test_cw_word_shapes():
