@@ -13,8 +13,8 @@ imports it from here, so a layer that never runs a heap model does not load
 ``heaps``.
 """
 
+from collections.abc import Mapping
 from operator import attrgetter
-from types import MappingProxyType
 
 RESERVED_LABEL_CHARS = frozenset("[],#*+=<>:")
 
@@ -64,9 +64,9 @@ class Frozen:
 
     def __reduce__(self):
         # rebuilt through __init__, which takes the fields in order and makes each
-        # read-only table (which neither pickles nor deep-copies) from a plain dict
+        # read-only table (a proxy, which neither pickles nor deep-copies, or a view) from a plain dict
         fields = (getattr(self, name) for name in self._fields)
-        return type(self), tuple(dict(f) if isinstance(f, MappingProxyType) else f for f in fields)
+        return type(self), tuple(dict(f) if isinstance(f, Mapping) else f for f in fields)
 
 
 def _assembled(cls, *fields, **private):

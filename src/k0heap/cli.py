@@ -204,10 +204,12 @@ def cmd_snf(args) -> int:
     for lineno, line in data_lines(sys.stdin.read()):
         try:
             rows.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise CliError(f"stdin:{lineno}: matrix entries must be integers", 2)
-    if rows and len({len(r) for r in rows}) != 1:
-        raise CliError("stdin: ragged matrix rows", 2)
+        except ValueError as exc:  # an integer past Python's digit limit is refused too, with its own message
+            limit = sys.get_int_max_str_digits() if str(exc).startswith("Exceeds the limit") else 0
+            problem = f"matrix entry longer than {limit} digits" if limit else "matrix entries must be integers"
+            raise CliError(f"stdin:{lineno}: {problem}", 2)
+        if len(rows[-1]) != len(rows[0]):
+            raise CliError(f"stdin:{lineno}: expected {len(rows[0])} entries, got {len(rows[-1])}", 2)
     m = IntMatrix.from_rows(rows)
     factors = snf(m)
     torsion = " ".join(str(d) for d in factors.torsion) if factors.torsion else "none"

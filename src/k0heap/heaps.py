@@ -5,14 +5,15 @@ A heap is a set with a ternary bracket satisfying para-associativity
 Free heap words embed into the free group as alternating products
 x1 * x2^-1 * x3 * ..., so normal forms are computed by free reduction:
 adjacent letters always carry opposite signs, hence cancel exactly when
-equal.  Finite models carry read-only tables, validated on construction: a
-group table in O(n^2 log n) by Light's test, a heap table in one pass and
-O(n^3) through its retract group; entries outside the carrier are rejected.
-Each model keeps, as ``_tables`` in its instance ``__dict__`` (read by no
-comparison, hash, repr or pickle), the index tables of a group whose heap it
-is (for a heap validated from a table, its retract at carrier[0]); retracts
-and morphism checks read those integer rows, not the tables.
-Retracts of a heap and heaps of a group are not validated again.
+equal.  Finite models carry read-only tables.  A caller's table is copied
+and validated: a group table in O(n^2 log n) by Light's test, a heap table in
+one pass and O(n^3) through its retract group; entries outside the carrier
+are rejected.  Each model keeps, as ``_tables`` in its instance ``__dict__``
+(read by no comparison, hash, repr or pickle), the index tables of a group
+whose heap it is (for a validated heap, its retract at carrier[0]), and
+morphism checks read those rows.  Retracts and heaps of a group are not
+validated again: their tables are read-only views over the rows, in O(n^2)
+memory, and a heap of a group pickles as its group.
 
 All values are immutable; every operation is a pure function.
 """
@@ -236,6 +237,12 @@ class FiniteHeapModel(Frozen):
         object.__setattr__(self, "ternary", checked[0])
         vars(self)["_tables"] = checked[1]
 
+    def __reduce__(self):  # a heap of a group travels as that group: n^2 + n entries, not n^3
+        t = self.ternary
+        if isinstance(t, _IndexView):
+            return heap_from_group, (_group_of(t._elems, t._index, t._rows, t._inv),)
+        return super().__reduce__()
+
 
 def _checked_heap(elems, ternary):
     """(read-only copy, retract tables at elems[0]) or the HeapAxiomError, returned so no traceback holds n^3 locals."""
@@ -270,13 +277,16 @@ def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:
     """Group on the same carrier with a + b := [a, e, b] and identity e; a heap's retract is a group: no check runs."""
     if e not in h.carrier:
         raise ValueError(f"basepoint {e!r} not in carrier")
-    (index, table, inv), elems = h._tables, h.carrier
-    i, label = index[e], elems.__getitem__
+    index, table, inv = h._tables
+    i = index[e]
     rows = [table[row[inv[i]]] for row in table]  # [a,e,b] = a * e^-1 * b in the group of h's tables
-    inv_e = [table[table[i][j]][i] for j in inv]  # [e,a,e] = e * a^-1 * e
-    op = MappingProxyType(dict(zip(product(elems, repeat=2), map(label, chain.from_iterable(rows)))))
-    inverse = MappingProxyType(dict(zip(elems, map(label, inv_e))))
-    return _assembled(GroupModel, elems, op, e, inverse, _tables=(index, rows, inv_e))
+    return _group_of(h.carrier, index, rows, [table[table[i][j]][i] for j in inv])  # [e,a,e] = e * a^-1 * e
+
+
+def _group_of(elems, index, rows, inv) -> GroupModel:
+    """The group of index tables known to be one: identity rows[0][inv[0]], op and inverse views over them."""
+    op, inverse = _IndexView(2, elems, index, rows, inv), _IndexView(1, elems, index, rows, inv)
+    return _assembled(GroupModel, elems, op, elems[rows[0][inv[0]]], inverse, _tables=(index, rows, inv))
 
 
 def _bracket_values(elems, table: list[list[int]], inv: list[int]) -> list:
@@ -286,10 +296,48 @@ def _bracket_values(elems, table: list[list[int]], inv: list[int]) -> list:
 
 
 def heap_from_group(g: GroupModel) -> FiniteHeapModel:
-    """Heap with bracket [a, b, c] = a * b^-1 * c, not validated again; retracting at the identity undoes this."""
-    (_, table, inv), elems = g._tables, g.carrier
-    ternary = dict(zip(product(elems, repeat=3), _bracket_values(elems, table, inv)))
-    return _assembled(FiniteHeapModel, elems, MappingProxyType(ternary), _tables=g._tables)
+    """Heap with [a, b, c] = a * b^-1 * c as a view over g's index tables; retracting at the identity undoes it."""
+    (index, table, inv), elems = g._tables, g.carrier
+    return _assembled(FiniteHeapModel, elems, _IndexView(3, elems, index, table, inv), _tables=g._tables)
+
+
+class _IndexView(Mapping):
+    """Read-only table over index tables: inverse (arity 1), op of ``rows`` (2) or [a,b,c] = a * b^-1 * c (3)."""
+
+    __slots__ = ("_arity", "_elems", "_index", "_rows", "_inv")
+
+    def __init__(self, arity, elems, index, rows, inv):
+        self._arity, self._elems, self._index, self._rows, self._inv = arity, elems, index, rows, inv
+
+    def __getitem__(self, key):
+        rows, inv, at, k = self._rows, self._inv, self._index.__getitem__, self._arity
+        try:
+            if k == 1:
+                return self._elems[inv[at(key)]]
+            if isinstance(key, tuple) and len(key) == k:  # a 3-letter string is no triple
+                i, j = at(key[0]), at(key[1])
+                return self._elems[rows[rows[i][inv[j]]][at(key[2])] if k == 3 else rows[i][j]]
+        except KeyError:
+            pass
+        hash(key)  # an unhashable key raises TypeError, as in a dict
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(self._elems) if self._arity == 1 else product(self._elems, repeat=self._arity)
+
+    def __len__(self):
+        return len(self._elems) ** self._arity
+
+    def __eq__(self, other):  # in C-speed loops: the other's values in this key order against the flat values
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        k, elems, rows, inv = self._arity, self._elems, self._rows, self._inv
+        flat = inv if k == 1 else chain.from_iterable(rows)
+        return len(other) == len(self) and list(map(other.get, self, repeat(_MISSING))) == (
+            _bracket_values(elems, rows, inv) if k == 3 else list(map(elems.__getitem__, flat)))
+
+    def __repr__(self):  # as the read-only dict it stands for, so a value's repr is the same either way
+        return f"mappingproxy({dict(self)!r})"
 
 
 class MorphismCheck(NamedTuple):

@@ -60,7 +60,21 @@ def test_snf_golden(data_dir, monkeypatch, capsys):
 def test_snf_rejects_ragged_input(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n3\n"))
     assert run_cli(["snf"]) == 2
-    assert "ragged" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: stdin:2: expected 2 entries, got 1\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("# two columns\n1 2\n\n3 4\n5 6 7\n8\n"))
+    assert run_cli(["snf"]) == 2  # the first row whose length differs from the first row's, by its line
+    assert capsys.readouterr().err == "error: stdin:5: expected 2 entries, got 3\n"
+
+
+def test_snf_names_an_entry_past_the_integer_digit_limit(monkeypatch, capsys):
+    limit = sys.get_int_max_str_digits()
+    for line in ("1 " + "7" * (limit + 1), "-" + "9" * (limit + 1), "1_" + "0" * (limit + 1)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n" + line + "\n"))
+        assert run_cli(["snf"]) == 2
+        assert capsys.readouterr().err == f"error: stdin:2: matrix entry longer than {limit} digits\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 " + "7" * limit + "\n"))  # at the limit it is an entry
+    assert run_cli(["snf"]) == 0
+    assert capsys.readouterr().out == "rank 1\ntorsion none\n"
 
 
 def test_snf_lines_end_at_lf_crlf_or_cr_only(monkeypatch, capsys):

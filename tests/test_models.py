@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -366,29 +367,89 @@ def test_morphism_check_agrees_with_exhaustive_search(case):
 
 @st.composite
 def heaps_three_ways(draw):
-    """A small group heap: validated from its table, made by heap_from_group, or either one pickled or deep-copied.
+    """(heap, its bracket table from group_heap_table) for a small group heap.
 
-    The carrier is shuffled, so neither carrier[0] nor the identity's place in it is fixed.
+    The heap is validated from its table or made by heap_from_group, and
+    either one may be pickled or deep-copied.  The carrier is shuffled, so
+    neither carrier[0] nor the identity's place in it is fixed.
     """
     elems, mul, inv = draw(st.sampled_from(SMALL_GROUPS))
     carrier = tuple(draw(st.permutations(elems)))
+    table = group_heap_table(carrier, mul, inv)
     if draw(st.booleans()):
-        h = FiniteHeapModel(carrier=carrier, ternary=group_heap_table(carrier, mul, inv))
+        h = FiniteHeapModel(carrier=carrier, ternary=table)
     else:
         op = {(a, b): mul(a, b) for a in carrier for b in carrier}
         h = heap_from_group(GroupModel(carrier=carrier, op=op, identity=elems[0], inverse={a: inv(a) for a in carrier}))
-    return draw(st.sampled_from([h, pickle.loads(pickle.dumps(h)), copy.deepcopy(h)]))
+    return draw(st.sampled_from([h, pickle.loads(pickle.dumps(h)), copy.deepcopy(h)])), table
 
 
 @settings(max_examples=200, deadline=None)
 @given(heaps_three_ways())
-def test_retract_tables_match_the_bracket_lookups_at_every_basepoint(h):
+def test_retract_tables_match_the_bracket_lookups_at_every_basepoint(case):
+    h, _ = case
     for e in h.carrier:
         g = retract_group(h, e)
         op, inverse = retract_by_lookup(h.carrier, h.ternary, e)
         assert g.identity == e
         assert list(g.op.items()) == list(op.items()) and list(g.inverse.items()) == list(inverse.items())
         assert list(heap_from_group(g).ternary.items()) == list(h.ternary.items())
+
+
+def _reads_as(view, oracle, strays):
+    """``view`` answers every read as the dict ``oracle`` does: size, order, membership, lookups and equality."""
+    assert len(view) == len(oracle)
+    assert list(view) == list(oracle) and list(view.items()) == list(oracle.items())
+    for key in [*oracle, *strays]:
+        assert (key in view) is (key in oracle)
+        assert view.get(key, "missing") == oracle.get(key, "missing")
+        if key in oracle:
+            assert view[key] == oracle[key]
+        else:
+            with pytest.raises(KeyError):
+                view[key]
+    for unhashable in ([next(iter(oracle))], (strays[0], []), {}):
+        for read in (view.__getitem__, view.__contains__, view.get):
+            with pytest.raises(TypeError):
+                read(unhashable)
+    for other in (oracle, MappingProxyType(oracle)):
+        assert view == other and other == view and not view != other and not other != view
+    key = next(iter(oracle))
+    for changed in ({**oracle, key: "stray"}, {**oracle, "stray": oracle[key]}, dict(list(oracle.items())[1:])):
+        assert view != changed and changed != view and not view == changed
+    assert view != list(oracle.items()) and view != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(heaps_three_ways(), st.data())
+def test_derived_tables_read_as_the_dicts_they_stand_for(case, data):
+    """The bracket of a heap of a group and a retract's op and inverse, against group_heap_table and retract_by_lookup."""
+    h, table = case
+    e = data.draw(st.sampled_from(h.carrier))
+    g = retract_group(h, e)
+    op, inverse = retract_by_lookup(h.carrier, table, e)
+    x = data.draw(st.sampled_from(h.carrier))
+    # keys a view must not read: a label string that would unpack into a key, wrong lengths, an unknown label
+    strays = ["".join(h.carrier[:3]), "".join(h.carrier[:2]), (x,), (x, x), (x, x, x), (x, x, x, x), "zz",
+              ("zz", x), (x, "zz"), ("zz", x, x), (x, "zz", x), (x, x, "zz"), None, 0]
+    for view, oracle in ((heap_from_group(g).ternary, table), (g.op, op), (g.inverse, inverse)):
+        assert type(view) is not MappingProxyType
+        _reads_as(view, oracle, strays)
+
+
+def test_a_label_string_is_no_key_of_a_derived_table():
+    """Over carrier a, b, c the string "abc" unpacks to a triple and "ab" to a pair; neither is a key."""
+    g = GroupModel(carrier=("a", "b", "c"), identity="a", inverse={"a": "a", "b": "c", "c": "b"},
+                   op={(x, y): "abc"[("abc".index(x) + "abc".index(y)) % 3] for x in "abc" for y in "abc"})
+    h = heap_from_group(g)
+    r = retract_group(h, "b")
+    for table, key in ((h.ternary, "abc"), (r.op, "ab"), (r.inverse, ("a",))):
+        assert key not in table and table.get(key) is None
+        with pytest.raises(KeyError):
+            table[key]
+        with pytest.raises(TypeError):
+            table[["a"]]
+    assert h.ternary["a", "b", "c"] == "b" and r.op["a", "b"] == "a" and r.inverse["a"] == "c"
 
 
 def test_morphism_rejects_unknown_base():
