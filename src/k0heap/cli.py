@@ -199,6 +199,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_snf(args) -> int:
+    from .instances import MAX_BOUND  # demo's bound: a 120 x 120 elimination already takes seconds
     from .lattice import IntMatrix, snf
     rows = []
     for lineno, line in data_lines(sys.stdin.read()):
@@ -210,6 +211,8 @@ def cmd_snf(args) -> int:
             raise CliError(f"stdin:{lineno}: {problem}", 2)
         if len(rows[-1]) != len(rows[0]):
             raise CliError(f"stdin:{lineno}: expected {len(rows[0])} entries, got {len(rows[-1])}", 2)
+        if len(rows) > MAX_BOUND or len(rows[-1]) > MAX_BOUND:
+            raise CliError(f"stdin:{lineno}: a matrix has at most {MAX_BOUND} rows and {MAX_BOUND} columns", 2)
     m = IntMatrix.from_rows(rows)
     factors = snf(m)
     torsion = " ".join(str(d) for d in factors.torsion) if factors.torsion else "none"

@@ -10,10 +10,12 @@ and validated: a group table in O(n^2 log n) by Light's test, a heap table in
 one pass and O(n^3) through its retract group; entries outside the carrier
 are rejected.  Each model keeps, as ``_tables`` in its instance ``__dict__``
 (read by no comparison, hash, repr or pickle), the index tables of a group
-whose heap it is (for a validated heap, its retract at carrier[0]), and
-morphism checks read those rows.  Retracts and heaps of a group are not
-validated again: their tables are read-only views over the rows, in O(n^2)
-memory, and a heap of a group pickles as its group.
+whose heap it is (for a validated heap, its retract at carrier[0]) and the
+<= log2(n) elements that Light's test visited, which generate that group.
+A morphism check reads one row per generator, O(n log n), and scans rows in
+O(n^2) only to name the witness of a map that fails.  Retracts and heaps
+of a group are not validated again: their tables are read-only views over
+the rows, in O(n^2) memory, and a heap of a group pickles as its group.
 
 All values are immutable; every operation is a pure function.
 """
@@ -143,7 +145,8 @@ class GroupModel(Frozen):
     The tables are read once into carrier indices.  Associativity is Light's
     test: the g with (x*g)*y = x*(g*y) for all x, y form a submagma, so only
     each g outside the closure of the ones before it is checked; in a group
-    each such g at least doubles that subgroup, so there are <= log2(n).
+    each such g at least doubles that subgroup, so there are <= log2(n), and
+    they are kept as the group's generators.
     """
 
     __slots__ = ("carrier", "op", "identity", "inverse", "__dict__")
@@ -174,8 +177,7 @@ class GroupModel(Frozen):
         if len(op) != len(elems) ** 2:
             stray = next(filterfalse(set(product(elems, repeat=2)).__contains__, op))
             raise GroupAxiomError(f"operation table has a stray entry at {stray!r}")
-        _check_group(elems, table, inv, index[self.identity])
-        vars(self)["_tables"] = (index, table, inv)
+        vars(self)["_tables"] = (index, table, inv, _check_group(elems, table, inv, index[self.identity]))
 
 
 def _index_tables(elems, index, op, inverse) -> tuple[list[list[int]], list[int]]:
@@ -191,17 +193,18 @@ def _index_tables(elems, index, op, inverse) -> tuple[list[list[int]], list[int]
     return table, inv
 
 
-def _check_group(elems, table: list[list[int]], inv: list[int], e: int) -> None:
-    """The group laws of total index tables, with e the index of the identity."""
+def _check_group(elems, table: list[list[int]], inv: list[int], e: int) -> list[int]:
+    """The group laws of total index tables, e the identity's index; returns the generators Light's test visited."""
     for i, a in enumerate(elems):
         if table[e][i] != i or table[i][e] != i:
             raise GroupAxiomError("identity law fails", witness=(a,))
         if table[i][inv[i]] != e:
             raise GroupAxiomError("inverse law fails", witness=(a,))
-    closure = {e}  # passes Light's test by the identity law
+    closure, gens = {e}, []  # e passes Light's test by the identity law
     for g, row_g in enumerate(table):
         if g in closure:
             continue
+        gens.append(g)
         for x, row_x in enumerate(table):
             left, right = table[row_x[g]], [row_x[z] for z in row_g]
             if left != right:
@@ -211,6 +214,7 @@ def _check_group(elems, table: list[list[int]], inv: list[int], e: int) -> None:
         while fresh:
             closure |= fresh
             fresh = {p for z in fresh for w in closure for p in (table[z][w], table[w][z])} - closure
+    return gens
 
 
 class FiniteHeapModel(Frozen):
@@ -239,8 +243,8 @@ class FiniteHeapModel(Frozen):
 
     def __reduce__(self):  # a heap of a group travels as that group: n^2 + n entries, not n^3
         t = self.ternary
-        if isinstance(t, _IndexView):
-            return heap_from_group, (_group_of(t._elems, t._index, t._rows, t._inv),)
+        if isinstance(t, _IndexView):  # the view's fields only: a copy may have dropped ``_tables``
+            return heap_from_group, (_group_of(t._elems, t._tables),)
         return super().__reduce__()
 
 
@@ -261,7 +265,7 @@ def _checked_heap(elems, ternary):
     table = [list(map(at, values[a * n * n:a * n * n + n])) for a in range(n)]  # [a,e,b]
     inv = [at(values[a * n]) for a in range(n)]  # [e,a,e]
     try:
-        _check_group(elems, table, inv, 0)
+        gens = _check_group(elems, table, inv, 0)
     except GroupAxiomError as exc:
         error = HeapAxiomError(f"retract at {elems[0]!r}: {exc}", witness=exc.witness)
         error.__cause__ = exc.with_traceback(None)  # as ``raise ... from exc``, without this frame
@@ -270,23 +274,25 @@ def _checked_heap(elems, ternary):
     if values != expected:
         key = next(compress(product(elems, repeat=3), map(ne, values, expected)))
         return HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {elems[0]!r}", witness=key)
-    return MappingProxyType(t), (index, table, inv)
+    return MappingProxyType(t), (index, table, inv, gens)
 
 
 def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:
     """Group on the same carrier with a + b := [a, e, b] and identity e; a heap's retract is a group: no check runs."""
     if e not in h.carrier:
         raise ValueError(f"basepoint {e!r} not in carrier")
-    index, table, inv = h._tables
+    index, table, inv, gens = h._tables
     i = index[e]
     rows = [table[row[inv[i]]] for row in table]  # [a,e,b] = a * e^-1 * b in the group of h's tables
-    return _group_of(h.carrier, index, rows, [table[table[i][j]][i] for j in inv])  # [e,a,e] = e * a^-1 * e
+    inverse = [table[table[i][j]][i] for j in inv]  # [e,a,e] = e * a^-1 * e
+    return _group_of(h.carrier, (index, rows, inverse, [table[s][i] for s in gens]))  # a * e^-1 maps it onto h's group
 
 
-def _group_of(elems, index, rows, inv) -> GroupModel:
-    """The group of index tables known to be one: identity rows[0][inv[0]], op and inverse views over them."""
-    op, inverse = _IndexView(2, elems, index, rows, inv), _IndexView(1, elems, index, rows, inv)
-    return _assembled(GroupModel, elems, op, elems[rows[0][inv[0]]], inverse, _tables=(index, rows, inv))
+def _group_of(elems, tables) -> GroupModel:
+    """The group of index tables (index, rows, inv, gens) known to be one: op and inverse are views over them."""
+    rows, inv = tables[1], tables[2]
+    op, inverse = _IndexView(2, elems, tables), _IndexView(1, elems, tables)
+    return _assembled(GroupModel, elems, op, elems[rows[0][inv[0]]], inverse, _tables=tables)
 
 
 def _bracket_values(elems, table: list[list[int]], inv: list[int]) -> list:
@@ -297,20 +303,20 @@ def _bracket_values(elems, table: list[list[int]], inv: list[int]) -> list:
 
 def heap_from_group(g: GroupModel) -> FiniteHeapModel:
     """Heap with [a, b, c] = a * b^-1 * c as a view over g's index tables; retracting at the identity undoes it."""
-    (index, table, inv), elems = g._tables, g.carrier
-    return _assembled(FiniteHeapModel, elems, _IndexView(3, elems, index, table, inv), _tables=g._tables)
+    return _assembled(FiniteHeapModel, g.carrier, _IndexView(3, g.carrier, g._tables), _tables=g._tables)
 
 
 class _IndexView(Mapping):
-    """Read-only table over index tables: inverse (arity 1), op of ``rows`` (2) or [a,b,c] = a * b^-1 * c (3)."""
+    """Read-only table over a group's ``_tables``: inverse (arity 1), op (2) or [a,b,c] = a * b^-1 * c (3)."""
 
-    __slots__ = ("_arity", "_elems", "_index", "_rows", "_inv")
+    __slots__ = ("_arity", "_elems", "_tables")
 
-    def __init__(self, arity, elems, index, rows, inv):
-        self._arity, self._elems, self._index, self._rows, self._inv = arity, elems, index, rows, inv
+    def __init__(self, arity, elems, tables):
+        self._arity, self._elems, self._tables = arity, elems, tables
 
     def __getitem__(self, key):
-        rows, inv, at, k = self._rows, self._inv, self._index.__getitem__, self._arity
+        (index, rows, inv, _), k = self._tables, self._arity
+        at = index.__getitem__
         try:
             if k == 1:
                 return self._elems[inv[at(key)]]
@@ -331,7 +337,7 @@ class _IndexView(Mapping):
     def __eq__(self, other):  # in C-speed loops: the other's values in this key order against the flat values
         if not isinstance(other, Mapping):
             return NotImplemented
-        k, elems, rows, inv = self._arity, self._elems, self._rows, self._inv
+        (_, rows, inv, _), k, elems = self._tables, self._arity, self._elems
         flat = inv if k == 1 else chain.from_iterable(rows)
         return len(other) == len(self) and list(map(other.get, self, repeat(_MISSING))) == (
             _bracket_values(elems, rows, inv) if k == 3 else list(map(elems.__getitem__, flat)))
@@ -352,29 +358,39 @@ def check_heap_morphism(
     target: FiniteHeapModel,
     base: str | None = None,
 ) -> MorphismCheck:
-    """Test phi([x,y,z]) = [phi x, phi y, phi z] in O(n^2), as integer rows over the models' index tables.
+    """Test phi([x,y,z]) = [phi x, phi y, phi z] over the models' index tables: O(n log n) if it holds, else O(n^2).
 
     Between heaps this is the homomorphism law of the retracts at e and
     phi(e), phi([x,e,y]) = [phi x, phi e, phi y], with e = ``base`` (which
-    also sets ``group_law_ok``) or carrier[0]; a failing (x, e, y) is the witness.
+    also sets ``group_law_ok``) or carrier[0].  The x for which it holds at
+    every y include e and are closed under [-,e,-], so they are the whole heap
+    once they include s*e for each of the source's g <= log2(n) generators s:
+    a map is accepted after g rows of n.  Only a map that fails one is
+    scanned row by row, in O(n^2), for its first failing (x, e, y).
     """
-    (index, table, inv), (t_index, t_table, t_inv) = source._tables, target._tables
-    for x in source.carrier:
-        if x not in mapping:
-            raise ValueError(f"mapping is not total: missing {x!r}")
-        if mapping[x] not in t_index:
-            raise ValueError(f"mapping sends {x!r} outside the target carrier")
-    if base is not None and base not in source.carrier:
+    (index, table, inv, gens), (t_index, t_table, t_inv, _) = source._tables, target._tables
+    elems = source.carrier
+    phi = list(map(t_index.get, map(mapping.get, elems, repeat(_MISSING)), repeat(-1)))
+    if -1 in phi:
+        x = elems[phi.index(-1)]
+        raise ValueError(f"mapping sends {x!r} outside the target carrier" if x in mapping
+                         else f"mapping is not total: missing {x!r}")
+    if base is not None and base not in elems:
         raise ValueError(f"basepoint {base!r} not in source carrier")
-    e = source.carrier[0] if base is None and source.carrier else base
-    phi, j = [t_index[mapping[x]] for x in source.carrier], index.get(e)  # j is None only with no x
-    for i, x in enumerate(source.carrier):
-        image = t_table[t_table[phi[i]][t_inv[phi[j]]]]  # y -> [phi x, phi e, y], by index
-        left, right = [phi[k] for k in table[table[i][inv[j]]]], list(map(image.__getitem__, phi))
+    e = elems[0] if base is None and elems else base
+    j = index.get(e)  # None only with no x, and then there are no generators either
+    for s in gens:  # the rows x = s*e, where [x,e,y] = s*y
+        image = t_table[t_table[phi[table[s][j]]][t_inv[phi[j]]]]  # y -> [phi x, phi e, y], by index
+        if list(map(phi.__getitem__, table[s])) != list(map(image.__getitem__, phi)):
+            break
+    else:
+        return MorphismCheck(True, None, None if base is None else True)
+    for i, x in enumerate(elems):  # a failing generator row means a failing row
+        image = t_table[t_table[phi[i]][t_inv[phi[j]]]]
+        left, right = list(map(phi.__getitem__, table[table[i][inv[j]]])), list(map(image.__getitem__, phi))
         if left != right:
             y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
-            return MorphismCheck(False, (x, e, source.carrier[y]), None if base is None else False)
-    return MorphismCheck(True, None, None if base is None else True)
+            return MorphismCheck(False, (x, e, elems[y]), None if base is None else False)
 
 
 def cyclic_group(n: int) -> GroupModel:

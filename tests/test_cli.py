@@ -77,6 +77,18 @@ def test_snf_names_an_entry_past_the_integer_digit_limit(monkeypatch, capsys):
     assert capsys.readouterr().out == "rank 1\ntorsion none\n"
 
 
+def test_snf_refuses_more_than_100_rows_or_columns(monkeypatch, capsys):
+    """The Smith elimination of a 120 x 120 matrix of small entries already takes seconds; 100 x 100 is the bound."""
+    message = "error: stdin:{}: a matrix has at most 100 rows and 100 columns\n"
+    for text, line in (("1\n" * 101, 101), ("# wide\n" + " ".join(["1"] * 101) + "\n", 2)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run_cli(["snf"]) == 2
+        assert capsys.readouterr().err == message.format(line)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(("1 " * 100 + "\n") * 100))  # at the bound it is a matrix
+    assert run_cli(["snf"]) == 0
+    assert capsys.readouterr().out == "rank 99\ntorsion none\n"  # the cokernel of a rank-1 matrix on 100 columns
+
+
 def test_snf_lines_end_at_lf_crlf_or_cr_only(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("2 0\x0c\r\n0 3\x85\r\u2028\n"))
     assert run_cli(["snf"]) == 0

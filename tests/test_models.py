@@ -2,6 +2,8 @@ import copy
 import itertools
 import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import MappingProxyType
 
 import pytest
@@ -226,6 +228,19 @@ def d4():
     return elems, mul, inv
 
 
+def zmod_product(*moduli):
+    """Z/m1 x Z/m2 x ... as (carrier, multiplication, inverse), labels like '1.7', the identity first."""
+    elems = tuple(".".join(map(str, x)) for x in itertools.product(*(range(m) for m in moduli)))
+
+    def mul(x, y):
+        return ".".join(str((int(a) + int(b)) % m) for a, b, m in zip(x.split("."), y.split("."), moduli))
+
+    def inv(x):
+        return ".".join(str(-int(a) % m) for a, m in zip(x.split("."), moduli))
+
+    return elems, mul, inv
+
+
 SMALL_GROUPS = [zmod(n) for n in range(1, 9)] + [klein(), s3(), d4()]
 
 
@@ -319,22 +334,30 @@ def test_every_single_entry_perturbation_is_rejected():
             assert witness_is_genuine(changed, elems[0], exc.value)
 
 
+# the map sources add D4 and Z/2 x Z/4, whose Light's tests visit two or more generators
+MAP_SOURCES = GROUP_HEAPS + [
+    (elems, group_heap_table(elems, mul, inv)) for elems, mul, inv in (d4(), zmod_product(2, 4))
+]
+
+
 @st.composite
 def heap_maps(draw):
-    """A map between two small group heaps: random, constant, or an affine morphism."""
-    kind = draw(st.sampled_from(["random", "constant", "affine"]))
-    src_elems, src_table = draw(st.sampled_from(GROUP_HEAPS))
+    """A map between two group heaps: random, constant, an affine morphism, or one with a value changed."""
+    kind = draw(st.sampled_from(["random", "constant", "affine", "affine-changed"]))
+    src_elems, src_table = draw(st.sampled_from(MAP_SOURCES))
     dst_elems, dst_table = (
-        (src_elems, src_table) if kind == "affine" else draw(st.sampled_from(GROUP_HEAPS))
+        (src_elems, src_table) if kind.startswith("affine") else draw(st.sampled_from(GROUP_HEAPS))
     )
     if kind == "constant":
         c = draw(st.sampled_from(dst_elems))
         mapping = {x: c for x in src_elems}
-    elif kind == "affine":
+    elif kind.startswith("affine"):
         # x -> [g, e, [x, e, h]] = g*x*h is a heap automorphism of any group heap
         e = src_elems[0]
         g, h = draw(st.sampled_from(src_elems)), draw(st.sampled_from(src_elems))
         mapping = {x: src_table[(g, e, src_table[(x, e, h)])] for x in src_elems}
+        if kind == "affine-changed":  # a morphism everywhere but at one element, at any place in the carrier
+            mapping[draw(st.sampled_from(src_elems))] = draw(st.sampled_from(dst_elems))
     else:
         mapping = {x: draw(st.sampled_from(dst_elems)) for x in src_elems}
     base = draw(st.none() | st.sampled_from(src_elems))
@@ -345,6 +368,8 @@ def heap_maps(draw):
         source = heap_from_group(retract_group(source, draw(st.sampled_from(src_elems))))
     if draw(st.booleans()):
         target = heap_from_group(retract_group(target, draw(st.sampled_from(dst_elems))))
+    # copy.copy rebuilds a heap of a group from its view, pickle validates its group again: both keep generators
+    source = draw(st.sampled_from([source, copy.copy(source), pickle.loads(pickle.dumps(source))]))
     return mapping, source, target, base
 
 
@@ -363,6 +388,36 @@ def test_morphism_check_agrees_with_exhaustive_search(case):
         assert e == (source.carrier[0] if base is None else base)
         assert mapping[source.ternary[(x, e, y)]] != target.ternary[(mapping[x], mapping[e], mapping[y])]
     assert result == morphism_check_by_lookup(mapping, source, target, base)  # the first failing (x, e, y)
+
+
+def _heap_calls(h):
+    """Every retract of h, its heap, and morphism checks of a translation and a collapse at every basepoint."""
+    out = []
+    for e in h.carrier:
+        g = retract_group(h, e)
+        translate = {x: h.ternary[(x, e, h.carrier[-1])] for x in h.carrier}  # x -> x * e^-1 * last: affine
+        collapse = {**translate, h.carrier[1]: translate[h.carrier[2]]}  # its image is no coset: no morphism
+        checks = check_heap_morphism(translate, h, h, base=e), check_heap_morphism(collapse, h, h, base=e)
+        out.append((g, vars(g)["_tables"], heap_from_group(g), *checks))
+    return out
+
+
+def test_heap_model_calls_from_four_threads_match_the_serial_results():
+    """Shared models, their index tables and generator lists read from four threads give the serial results."""
+    groups = [cyclic_group(12), *(GroupModel(*group_model_args(*g)) for g in (d4(), zmod_product(2, 4)))]
+    groups.append(retract_group(heap_from_group(groups[1]), "s2"))
+    shared = [heap_from_group(g) for g in groups] + [mod_heap(6)]
+    expected = [_heap_calls(h) for h in shared]
+    assert all(h2 == h and t.ok and not c.ok for h, calls in zip(shared, expected) for _, _, h2, t, c in calls)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that state shared by the calls is read mid-update
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_heap_calls, shared[k % len(shared)]) for k in range(4 * len(shared))]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[k % len(shared)] for k in range(4 * len(shared))]
 
 
 @st.composite
@@ -662,19 +717,6 @@ def test_retracts_equal_the_validated_group_at_every_basepoint(case):
         assert list(g.op) == list(op) and list(g.inverse) == list(inverse)
         with pytest.raises(TypeError):
             g.op[(e, e)] = e
-
-
-def zmod_product(*moduli):
-    """Z/m1 x Z/m2 x ... as (carrier, multiplication, inverse), labels like '1.7', the identity first."""
-    elems = tuple(".".join(map(str, x)) for x in itertools.product(*(range(m) for m in moduli)))
-
-    def mul(x, y):
-        return ".".join(str((int(a) + int(b)) % m) for a, b, m in zip(x.split("."), y.split("."), moduli))
-
-    def inv(x):
-        return ".".join(str(-int(a) % m) for a, m in zip(x.split("."), moduli))
-
-    return elems, mul, inv
 
 
 def first_heap_failure(carrier, table):
