@@ -8,15 +8,19 @@ the fields (so a value holding a read-only table is unhashable), and the repr
 names them.  ``_assembled`` builds a value from fields known to be valid
 through the class's slot setters, which are looked up once per class.
 
-``check_label`` is the one rule for generator and object labels; every layer
-imports it from here, so a layer that never runs a heap model does not load
-``heaps``.
+``check_label`` is the one rule for generator and object labels, and
+``bracket_letters`` the one walk that flattens a bracket tree; every layer
+imports them from here, so a layer that never runs a heap model does not
+load ``heaps``.  ``MAX_BOUND`` is the size bound of the generators and of
+``snf``, kept here so that ``snf`` reads it without loading them.
 """
 
 from collections.abc import Mapping
+from itertools import cycle
 from operator import attrgetter
 
 RESERVED_LABEL_CHARS = frozenset("[],#*+=<>:")
+MAX_BOUND = 100  # set/vect 100 have 176,851 / 348,551 pushouts; counts grow as N^3
 
 
 def check_label(name: str) -> str:
@@ -29,6 +33,28 @@ def check_label(name: str) -> str:
         if ch in RESERVED_LABEL_CHARS:
             raise ValueError(f"label {name!r} contains reserved character {ch!r}")
     return name
+
+
+def bracket_letters(tree) -> list[str]:
+    """The checked labels of a nested bracket expression, in heap-word order.
+
+    ``tree`` is a label or a sequence of an odd number of subtrees.  A subtree
+    in an odd (0-based) position enters reversed, as an inverse does in the
+    free heap, so letter i carries the sign (-1)**i in the abelian image.
+    """
+    out: list[str] = []
+    stack = [(tree, False)]  # (node, reversed?): depth is bounded only by memory
+    while stack:
+        node, reverse = stack.pop()
+        if isinstance(node, str):
+            out.append(check_label(node))
+            continue
+        children = list(node)
+        if len(children) % 2 == 0:
+            raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
+        # pushed last-visited first; the first pushed is an end child, in an even position, so it keeps the direction
+        stack.extend(zip(children if reverse else reversed(children), cycle((reverse, not reverse))))
+    return out
 
 
 class Frozen:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
+from ._frozen import MAX_BOUND, bracket_letters
 from .dsl import (
     CW_CONVENTIONS,
     SpecSource,
@@ -29,6 +31,7 @@ from .dsl import (
 
 # each command loads the layers it runs: ``reduce`` loads heaps, and none of category, presentation and lattice
 FORMAT_HEADER = "k0-format 1"
+_SNF_WORK = 2_000_000  # snf's budget: the column transform is columns x columns, its entries grow to the factors' size
 
 
 class CliError(Exception):
@@ -66,17 +69,6 @@ def _load_presentation(path: str):
     return k0_presentation(_load_spec(path))
 
 
-def _leaves(tree):
-    """The label at each leaf of a parsed bracket word."""
-    stack = [tree]  # depth is bounded only by memory
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            yield node
-        else:
-            stack.extend(node)
-
-
 def _emit(args, command: str, lines: list[str]) -> None:
     write = sys.stdout.write
     if args.format == "structured":
@@ -106,7 +98,7 @@ def cmd_equal(args) -> int:
     p = _load_presentation(args.file)
     trees = [_parse_word(args.word1, "word 1"), _parse_word(args.word2, "word 2")]
     for tree in trees:  # a label that cancels out of its word is still checked
-        unknown = sorted(set(_leaves(tree)).difference(p.generators))
+        unknown = sorted(set(bracket_letters(tree)).difference(p.generators))
         if unknown:
             raise UnknownGeneratorError(f"unknown generator {unknown[0]!r}")
     w1, w2 = (normalize_affine(t) for t in trees)
@@ -199,22 +191,27 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_snf(args) -> int:
-    from .instances import MAX_BOUND  # demo's bound: a 120 x 120 elimination already takes seconds
     from .lattice import IntMatrix, snf
-    rows = []
+    rows, bits, limit = [], 0, sys.get_int_max_str_digits()  # the limit is 0 when there is none
     for lineno, line in data_lines(sys.stdin.read()):
         try:
             rows.append([int(tok) for tok in line.split()])
         except ValueError as exc:  # an integer past Python's digit limit is refused too, with its own message
-            limit = sys.get_int_max_str_digits() if str(exc).startswith("Exceeds the limit") else 0
-            problem = f"matrix entry longer than {limit} digits" if limit else "matrix entries must be integers"
+            too_long = str(exc).startswith("Exceeds the limit")
+            problem = f"matrix entry longer than {limit} digits" if too_long else "matrix entries must be integers"
             raise CliError(f"stdin:{lineno}: {problem}", 2)
         if len(rows[-1]) != len(rows[0]):
             raise CliError(f"stdin:{lineno}: expected {len(rows[0])} entries, got {len(rows[-1])}", 2)
         if len(rows) > MAX_BOUND or len(rows[-1]) > MAX_BOUND:
             raise CliError(f"stdin:{lineno}: a matrix has at most {MAX_BOUND} rows and {MAX_BOUND} columns", 2)
-    m = IntMatrix.from_rows(rows)
-    factors = snf(m)
+        # Hadamard: every minor, so every invariant factor, is below the product of the rows' lengths
+        bits += sum(x * x for x in rows[-1]).bit_length()
+        digits = bits * math.log10(2) / 2  # of that product, so far
+        if limit and digits > limit:
+            raise CliError(f"stdin:{lineno}: invariant factors could have more than {limit} digits", 2)
+        if len(rows[0]) ** 2 * digits > _SNF_WORK:
+            raise CliError(f"stdin:{lineno}: too large to reduce: columns^2 x factor digits passes {_SNF_WORK}", 2)
+    factors = snf(IntMatrix.from_rows(rows))
     torsion = " ".join(str(d) for d in factors.torsion) if factors.torsion else "none"
     _emit(args, "snf", [f"rank {factors.rank}", f"torsion {torsion}"])
     return 0

@@ -27,7 +27,8 @@ from operator import ne
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from ._frozen import RESERVED_LABEL_CHARS, Frozen, _assembled, check_label  # the label rule is re-exported here
+# the label rule is re-exported here
+from ._frozen import RESERVED_LABEL_CHARS, Frozen, _assembled, bracket_letters, check_label
 
 _MISSING = object()  # default of a table lookup; equal to no carrier label
 
@@ -101,13 +102,7 @@ def nary_product(words: Sequence[FreeHeapWord]) -> FreeHeapWord:
     """
     if len(words) % 2 == 0:
         raise ValueError(f"n-ary products need an odd number of factors, got {len(words)}")
-    letters: list[str] = []
-    for idx, w in enumerate(words):
-        if idx % 2 == 0:
-            letters.extend(w.letters)
-        else:
-            letters.extend(reversed(w.letters))
-    return reduce_word(FreeHeapWord(tuple(letters)))
+    return reduce_word(_assembled(FreeHeapWord, tuple(bracket_letters([w.letters for w in words]))))
 
 
 def ternary(a: FreeHeapWord, b: FreeHeapWord, c: FreeHeapWord) -> FreeHeapWord:
@@ -118,25 +113,11 @@ def ternary(a: FreeHeapWord, b: FreeHeapWord, c: FreeHeapWord) -> FreeHeapWord:
 def word_from_tree(tree) -> FreeHeapWord:
     """Flatten a nested bracket expression (odd arity everywhere) into a word.
 
-    ``tree`` is a generator label or a sequence of subtrees.  Subtrees in
-    even positions contribute their letters reversed, matching how inner
-    brackets expand in the free heap.
+    ``tree`` is a generator label or a sequence of subtrees; its letters are
+    ``bracket_letters(tree)``, where a subtree in an odd position enters
+    reversed, matching how inner brackets expand in the free heap.
     """
-    out: list[str] = []
-    stack = [(tree, False)]  # (node, reversed?): depth is bounded only by memory
-    while stack:
-        node, reverse = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-            continue
-        children = list(node)
-        if not children or len(children) % 2 == 0:
-            raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
-        # pushed last-visited first; a child in an odd position flips the direction
-        indices = range(len(children)) if reverse else range(len(children) - 1, -1, -1)
-        for i in indices:
-            stack.append((children[i], reverse != (i % 2 == 1)))
-    return FreeHeapWord(tuple(out))
+    return _assembled(FreeHeapWord, tuple(bracket_letters(tree)))
 
 
 class GroupModel(Frozen):

@@ -3,7 +3,10 @@
 Infinite categories are truncated to a size bound: objects beyond the bound
 are omitted and so are pushout/sum/product entries whose result would leave
 the range.  Truncation is honest: downstream checks report the omitted
-pairs instead of failing.  The bound N is at most ``MAX_BOUND``.
+pairs instead of failing.  The bound N is at most ``MAX_BOUND``.  Finite
+sets and vector spaces share one arithmetic, the pushout a - b + c with
+truncated sums and products, and one enumerator writes both; they differ in
+their labels and in whether there is a zero object.
 """
 
 from __future__ import annotations
@@ -11,13 +14,12 @@ from __future__ import annotations
 from importlib import resources
 from typing import NamedTuple
 
-from ._frozen import Frozen
+from ._frozen import MAX_BOUND, Frozen  # MAX_BOUND is re-exported here
 from .category import CategorySpec, PushoutEntry
 from .dsl import CW_CONVENTIONS, SpecSource, data_lines, parse_spec
 from .presentation import AffineWord, combine
 
 
-MAX_BOUND = 100  # set/vect 100 have 176,851 / 348,551 pushouts; counts grow as N^3
 MAX_CELLS = 100_000  # a CW word holds two labels per cell, so memory grows with the counts, not the file
 
 
@@ -94,13 +96,24 @@ def set_pushout(span: FiniteSetSpan) -> SetPushoutResult:
     return SetPushoutResult(size=len(groups), classes=classes)
 
 
-def _arithmetic_tables(label: tuple[str, ...]) -> tuple[dict, dict]:
-    """Sums and products of the numbers labelled ``label[0]`` ... ``label[n]``, kept where the result is at most n."""
+def _arithmetic_spec(label: tuple[str, ...], zero: str | None) -> CategorySpec:
+    """Numbers ``label[0]`` ... ``label[n]`` with each square b -> a, b -> c with b <= a and a - b + c <= n.
+
+    The left leg is mono, the right one when b <= c; an unpointed spec (``zero`` None) keeps only c >= b.
+    Sums and products are truncated addition and multiplication, with unit '1'.
+    """
     n = len(label) - 1
+    entries = sorted(
+        PushoutEntry(apex=label[b], left=label[a], right=label[c], result=label[a - b + c],
+                     left_mono=True, right_mono=b <= c)
+        for b in range(n + 1)
+        for a in range(b, n + 1)
+        for c in range(b if zero is None else 0, n - a + b + 1)
+    )
     pairs = [(a, b) for a in range(n + 1) for b in range(n + 1)]
     sums = {(label[a], label[b]): label[a + b] for a, b in pairs if a + b <= n}
     products = {(label[a], label[b]): label[a * b] for a, b in pairs if a * b <= n}
-    return sums, products
+    return CategorySpec(objects=label, pushouts=tuple(entries), zero=zero, sums=sums, products=products, unit="1")
 
 
 def finite_sets_spec(n: int) -> CategorySpec:
@@ -114,30 +127,7 @@ def finite_sets_spec(n: int) -> CategorySpec:
     object: this category is unpointed.
     """
     _check_bound(n)
-    objects = label = tuple(set_label(k) for k in range(n + 1))
-    entries = [
-        PushoutEntry(
-            apex=label[b],
-            left=label[a],
-            right=label[c],
-            result=label[a - b + c],
-            left_mono=True,
-            right_mono=True,
-        )
-        for b in range(n + 1)
-        for a in range(b, n + 1)
-        for c in range(b, n - a + b + 1)
-    ]
-    entries.sort()
-    sums, products = _arithmetic_tables(label)
-    return CategorySpec(
-        objects=objects,
-        pushouts=tuple(entries),
-        zero=None,
-        sums=sums,
-        products=products,
-        unit="1",
-    )
+    return _arithmetic_spec(tuple(set_label(k) for k in range(n + 1)), None)
 
 
 def vect_spec(n: int) -> CategorySpec:
@@ -149,34 +139,7 @@ def vect_spec(n: int) -> CategorySpec:
     addition and multiplication with unit '1'.
     """
     _check_bound(n)
-    objects = label = tuple(str(k) for k in range(n + 1))  # one copy of each label
-    entries = []
-    for b in range(n + 1):
-        for a in range(b, n + 1):
-            for c in range(n + 1):
-                d = a - b + c
-                if d > n:
-                    continue
-                entries.append(
-                    PushoutEntry(
-                        apex=label[b],
-                        left=label[a],
-                        right=label[c],
-                        result=label[d],
-                        left_mono=True,
-                        right_mono=b <= c,
-                    )
-                )
-    entries.sort()
-    sums, products = _arithmetic_tables(label)
-    return CategorySpec(
-        objects=objects,
-        pushouts=tuple(entries),
-        zero="0",
-        sums=sums,
-        products=products,
-        unit="1",
-    )
+    return _arithmetic_spec(tuple(str(k) for k in range(n + 1)), "0")
 
 
 def swindle_spec(n: int) -> CategorySpec:

@@ -26,7 +26,7 @@ from itertools import cycle
 from types import MappingProxyType
 from typing import ClassVar, Hashable, Iterable, Mapping, NamedTuple
 
-from ._frozen import Frozen, check_label
+from ._frozen import Frozen, bracket_letters, check_label
 from .lattice import IntMatrix, InvariantFactors, hnf, residue, smith_decomposition
 
 
@@ -123,21 +123,12 @@ def normalize_affine(tree) -> AffineWord:
     """Alternating-sign expansion of a nested bracket expression.
 
     ``tree`` is a generator label or an odd-length sequence of subtrees;
-    signs alternate +,-,+,... inside every node.
+    signs alternate +,-,+,... inside every node, so the word is the signed
+    count of ``bracket_letters(tree)``, letter i with sign (-1)**i.
     """
     acc: dict[str, int] = {}
-    stack = [(tree, 1)]  # (node, sign): depth is bounded only by memory
-    while stack:
-        node, sign = stack.pop()
-        if isinstance(node, str):
-            label = check_label(node)
-            acc[label] = acc.get(label, 0) + sign
-            continue
-        children = list(node)
-        if not children or len(children) % 2 == 0:
-            raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
-        # the last child is in an even position (odd arity), so it keeps the sign
-        stack.extend(zip(reversed(children), cycle((sign, -sign))))
+    for label, sign in zip(bracket_letters(tree), cycle((1, -1))):
+        acc[label] = acc.get(label, 0) + sign
     return AffineWord.from_coefficients(acc)  # drops zero coefficients
 
 

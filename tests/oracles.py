@@ -6,15 +6,18 @@ schoolbook sums over row lists, determinants use cofactor expansion, Smith
 factors come from gcds of minors, group isomorphy is decided by exhaustive
 backtracking search over bijections, and group axioms, heap axioms and heap
 morphisms are checked on every tuple of elements, and Hermite forms come
-from extended-gcd row pairs over the whole matrix.  Four exceptions are
-copies of library code as it was before a fast path replaced it:
+from extended-gcd row pairs over the whole matrix.  Five exceptions are
+copies of library code as it was before a fast path or a merge replaced it:
 ``smith_with_transforms``, the Smith elimination with both transforms built
 eagerly, which pins the lazily built row transform and the class
 coordinates read off the column transform; ``dense_residue``, the dense
 reduction against every pivot row of a Hermite form, which pins the sparse
 ``residue`` and lattice membership; ``parse_spec_by_columns``,
 the spec parser that gave every token its column, which pins the parser's
-specs and diagnostics; and ``morphism_check_by_lookup`` with
+specs and diagnostics; ``affine_by_signed_walk`` and ``word_by_reversal_walk``,
+the two walks that flattened a bracket tree before ``bracket_letters``
+served both, which pin the abelian image, the heap word and the message of
+an input with one fault; and ``morphism_check_by_lookup`` with
 ``retract_by_lookup``, the heap-morphism loop and the retract that looked
 every bracket up in the ternary tables, which pin the whole morphism check,
 witness included, and the retract tables in their key order.  The three
@@ -61,6 +64,43 @@ def free_reduce_letters(letters):
     for i, (_, sign) in enumerate(pairs):
         assert sign == (1 if i % 2 == 0 else -1), "reduced word stopped alternating"
     return tuple(x for x, _ in pairs)
+
+
+def affine_by_signed_walk(tree):
+    """``normalize_affine`` as it was: each leaf's sign read off its node, labels checked in tree order."""
+    acc = {}
+    stack = [(tree, 1)]
+    while stack:
+        node, sign = stack.pop()
+        if isinstance(node, str):
+            label = check_label(node)
+            acc[label] = acc.get(label, 0) + sign
+            continue
+        children = list(node)
+        if not children or len(children) % 2 == 0:
+            raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
+        stack.extend(zip(reversed(children), itertools.cycle((sign, -sign))))
+    return AffineWord.from_coefficients(acc)
+
+
+def word_by_reversal_walk(tree):
+    """``word_from_tree``'s letters as they were: a subtree in an odd position reversed, labels checked last."""
+    out = []
+    stack = [(tree, False)]
+    while stack:
+        node, reverse = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        children = list(node)
+        if not children or len(children) % 2 == 0:
+            raise ValueError(f"bracket nodes need odd arity >= 1, got {len(children)}")
+        indices = range(len(children)) if reverse else range(len(children) - 1, -1, -1)
+        for i in indices:
+            stack.append((children[i], reverse != (i % 2 == 1)))
+    for label in out:
+        check_label(label)
+    return tuple(out)
 
 
 def matmul(a, b):

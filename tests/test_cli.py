@@ -2,8 +2,10 @@ import contextlib
 import gc
 import io
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import k0heap
 from k0heap.cli import run_cli
 from k0heap.dsl import SpecSource, parse_spec, print_spec
 from k0heap.instances import finite_sets_spec
+from k0heap.lattice import InvariantFactors
 
 GOLDEN_CASES = {
     "group_set3.txt": ["group", "{valid}/set3.cat", "--base", "empty", "--format", "structured"],
@@ -87,6 +90,35 @@ def test_snf_refuses_more_than_100_rows_or_columns(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(("1 " * 100 + "\n") * 100))  # at the bound it is a matrix
     assert run_cli(["snf"]) == 0
     assert capsys.readouterr().out == "rank 99\ntorsion none\n"  # the cokernel of a rank-1 matrix on 100 columns
+
+
+def random_matrix(rows, cols, digits, seed=0):
+    rng = random.Random(seed)
+    top = 10**digits - 1
+    return "".join(" ".join(str(rng.randint(-top, top)) for _ in range(cols)) + "\n" for _ in range(rows))
+
+
+@pytest.mark.parametrize("rows, cols, digits, message", [
+    # the factors could be too long to print: one of 10,001 digits came out of this shape, after 0.8 s
+    (10, 10, 1000, "stdin:5: invariant factors could have more than 4300 digits"),
+    # the elimination would take about 45 s
+    (100, 100, 10, "stdin:19: too large to reduce: columns^2 x factor digits passes 2000000"),
+], ids=["long-factors", "long-elimination"])
+def test_snf_refuses_long_entries_at_the_row_that_passes_its_budget(monkeypatch, capsys, rows, cols, digits, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(random_matrix(rows, cols, digits)))
+    start = time.perf_counter()
+    assert run_cli(["snf"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_snf_budget_admits_100_by_100_entries_in_minus_9_to_9(monkeypatch, capsys):
+    """Rows of nine or minus nine reach 196 of the 200 factor digits 100 columns allow; a random one takes 1.5 s."""
+    monkeypatch.setattr("k0heap.lattice.snf", lambda m: InvariantFactors(rank=m.rows, torsion=()))
+    for text in (random_matrix(100, 100, 1), ("9 -9 " * 50 + "\n") * 100):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run_cli(["snf"]) == 0
+        assert capsys.readouterr().out == "rank 100\ntorsion none\n"
 
 
 def test_snf_lines_end_at_lf_crlf_or_cr_only(monkeypatch, capsys):
@@ -402,31 +434,46 @@ def test_spec_with_no_objects_is_an_input_error(tmp_path, text, argv):
 
 
 FOOTPRINT = """
-import sys
+import io, sys
 before = set(sys.modules)
 import k0heap
 after_package = set(sys.modules)
 import k0heap.cli
 k0heap.cli.build_parser()
 after_cli = set(sys.modules)
-assert k0heap.cli.run_cli(["reduce", "[a,b,b]"]) == 0
+sys.stdin = io.StringIO("2 4\\n6 8\\n")
+assert k0heap.cli.run_cli(sys.argv[1:]) == 0
 print(' '.join(sorted(after_package - before)))
 print(' '.join(sorted(after_cli - before)))
 print(' '.join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_import_needs_neither_dataclasses_nor_the_generators():
-    """Start-up cost is guarded by what gets imported, not by a timing gate."""
-    proc = run_module("-c", FOOTPRINT, module=None)
+def command_footprint(*argv):
+    """The modules loaded by ``import k0heap``, by the CLI module, and after the CLI has run ``argv`` too."""
+    proc = run_module("-c", FOOTPRINT, *argv, module=None)
     assert proc.returncode == 0, proc.stderr
-    package, cli, reduce = (line.split() for line in proc.stdout.splitlines()[-3:])
+    package, cli, command = (line.split() for line in proc.stdout.splitlines()[-3:])
     assert [m for m in package if m.startswith("k0heap")] == ["k0heap"] and "dataclasses" not in package
     assert [m for m in cli if m.startswith("k0heap")] == ["k0heap", "k0heap._frozen", "k0heap.cli", "k0heap.dsl"]
     assert "dataclasses" not in cli and "k0heap.instances" not in cli
+    return [m for m in command if m.startswith("k0heap")]
+
+
+def test_cli_import_needs_neither_dataclasses_nor_the_generators():
+    """Start-up cost is guarded by what gets imported, not by a timing gate."""
     # reduce runs the heap layer only: category, presentation and lattice stay unloaded
-    assert [m for m in reduce if m.startswith("k0heap")] == [
+    assert command_footprint("reduce", "[a,b,b]") == [
         "k0heap", "k0heap._frozen", "k0heap.cli", "k0heap.dsl", "k0heap.heaps",
+    ]
+
+
+def test_snf_and_equal_load_only_the_layers_they_run(data_dir):
+    # snf reads its size bound without loading the generators, and equal flattens words without heaps
+    assert command_footprint("snf") == ["k0heap", "k0heap._frozen", "k0heap.cli", "k0heap.dsl", "k0heap.lattice"]
+    assert command_footprint("equal", str(data_dir / "valid" / "set3.cat"), "[1,2,2]", "1") == [
+        "k0heap", "k0heap._frozen", "k0heap.category", "k0heap.cli", "k0heap.dsl", "k0heap.lattice",
+        "k0heap.presentation",
     ]
 
 

@@ -240,6 +240,36 @@ def test_set_entries_are_the_bounded_triples_with_concrete_pushout_sizes():
                 attach=tuple(reversed(range(b))),
             )
             assert set_pushout(span).size == size[e.result]
+        assert (s.objects, s.zero) == (tuple(size), None)
+        assert_arithmetic_tables(s, tuple(size))
+
+
+def assert_arithmetic_tables(s, label):
+    """Sums and products are truncated addition and multiplication of label indices, with unit '1'."""
+    n = len(label) - 1
+    pairs = list(itertools.product(range(n + 1), repeat=2))
+    assert s.unit == "1"
+    assert dict(s.sums) == {(label[a], label[b]): label[a + b] for a, b in pairs if a + b <= n}
+    assert dict(s.products) == {(label[a], label[b]): label[a * b] for a, b in pairs if a * b <= n}
+
+
+def test_vect_entries_are_the_bounded_triples_with_dimension_arithmetic():
+    # every b -> a, b -> c with b <= a and a - b + c <= n; the right leg is any map, mono exactly when b <= c
+    for n in range(1, 13):
+        s = vect_spec(n)
+        label = tuple(str(k) for k in range(n + 1))
+        assert (s.objects, s.zero) == (label, "0")
+        assert list(s.pushouts) == sorted(s.pushouts)
+        got = sorted(
+            (int(e.left), int(e.apex), int(e.right), int(e.result), e.left_mono, e.right_mono) for e in s.pushouts
+        )
+        expected = [
+            (a, b, c, a - b + c, True, b <= c)
+            for a, b, c in itertools.product(range(n + 1), repeat=3)
+            if b <= a and a - b + c <= n
+        ]
+        assert got == expected
+        assert_arithmetic_tables(s, label)
 
 
 def test_generators_reject_bounds_outside_the_documented_range():

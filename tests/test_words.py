@@ -14,7 +14,8 @@ from k0heap.heaps import (
     word,
     word_from_tree,
 )
-from oracles import free_reduce_letters, random_odd_word
+from k0heap.presentation import normalize_affine
+from oracles import affine_by_signed_walk, free_reduce_letters, random_odd_word, word_by_reversal_walk
 
 ALPHABET = ("a", "b", "c", "d", "e")
 
@@ -123,3 +124,56 @@ def test_word_from_tree_matches_ternary_semantics():
                 list(v.letters) if len(v) > 1 else v.letters[0],
                 list(w.letters) if len(w) > 1 else w.letters[0]]
         assert reduce_word(word_from_tree(tree)) == ternary(u, v, w)
+
+
+BAD_LABELS = ("", "a b", "x,y", "p:q", "u*v", "[")
+
+
+def random_tree(rng, depth=0):
+    """A bracket tree of depth <= 6: list or tuple nodes of arity 1, 3 or 5 over ALPHABET; one in four is a leaf."""
+    if depth == 6 or rng.random() < (0.25 if depth == 0 else 0.6):
+        return rng.choice(ALPHABET)
+    children = [random_tree(rng, depth + 1) for _ in range(rng.choice((1, 3, 5)))]
+    return children if rng.random() < 0.5 else tuple(children)
+
+
+def with_one_fault(rng, tree):
+    """``tree`` with one subtree replaced by a bad label or by an even node: itself and one more leaf, or ``[]``."""
+    if isinstance(tree, str) or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return rng.choice(BAD_LABELS)
+        children = [] if isinstance(tree, str) and rng.random() < 0.3 else [tree, rng.choice(ALPHABET)]
+        return children if rng.random() < 0.5 else tuple(children)
+    i = rng.randrange(len(tree))
+    children = list(tree)
+    children[i] = with_one_fault(rng, children[i])
+    return type(tree)(children)
+
+
+def message(flatten, tree):
+    try:
+        flatten(tree)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_one_bracket_walk_matches_the_walks_it_replaced(seed):
+    """100 seeded trees per example: the abelian image, the heap word, n-ary products and single-fault messages."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        tree = random_tree(rng)
+        assert normalize_affine(tree) == affine_by_signed_walk(tree)
+        assert word_from_tree(tree).letters == word_by_reversal_walk(tree)
+        words = [word_from_tree(random_tree(rng, depth=4)) for _ in range(rng.choice((1, 3, 5)))]
+        # reduce_word is pinned against free_reduce_letters above
+        expected = reduce_word(FreeHeapWord(word_by_reversal_walk([w.letters for w in words])))
+        assert nary_product(words) == expected
+        with pytest.raises(ValueError, match=f"^n-ary products need an odd number of factors, got {len(words) + 1}$"):
+            nary_product(words + [word("a")])
+        faulty = with_one_fault(rng, tree)
+        expected = message(affine_by_signed_walk, faulty)
+        assert expected is not None and expected == message(word_by_reversal_walk, faulty)
+        assert message(normalize_affine, faulty) == message(word_from_tree, faulty) == expected
