@@ -245,13 +245,8 @@ def cmd_demo(args) -> int:
             cw = instances.parse_cell_counts(_read_file(args.arg))
         except ValueError as exc:
             raise CliError(f"{args.arg}: {exc}", 2)
-        tree = instances.cw_word(cw, args.convention)
-        cls = instances.cw_class(cw, args.convention)
-        _emit(
-            args,
-            "demo-cw",
-            [f"convention {args.convention}", f"word {bracket_text(tree)}", f"class {cls}"],
-        )
+        tree, cls = instances.cw_word(cw, args.convention), instances.cw_class(cw, args.convention)
+        _emit(args, "demo-cw", [f"convention {args.convention}", f"word {bracket_text(tree)}", f"class {cls}"])
         return 0
     raise CliError(f"unknown demo {kind!r}", 2)
 

@@ -5,26 +5,25 @@ A heap is a set with a ternary bracket satisfying para-associativity
 Free heap words embed into the free group as alternating products
 x1 * x2^-1 * x3 * ..., so normal forms are computed by free reduction:
 adjacent letters always carry opposite signs, hence cancel exactly when
-equal.  Finite models carry read-only tables.  A caller's table is copied
-and validated: a group table in O(n^2 log n) by Light's test, a heap table in
-one pass and O(n^3) through its retract group; entries outside the carrier
-are rejected.  Each model keeps, as ``_tables`` in its instance ``__dict__``
-(read by no comparison, hash, repr or pickle), the index tables of a group
-whose heap it is (for a validated heap, its retract at carrier[0]) and the
-<= log2(n) elements that Light's test visited, which generate that group.
-A morphism check reads one row per generator, O(n log n), and scans rows in
-O(n^2) only to name the witness of a map that fails.  Retracts and heaps
-of a group are not validated again: their tables are read-only views over
-the rows, in O(n^2) memory, and a heap of a group pickles as its group.
+equal.  A finite model is its index tables: a caller's table is read once
+into carrier indices, validated (a group's in O(n^2 log n) by Light's test, a
+heap's in O(n^3) through its retract group, entries outside the carrier
+rejected) and not kept.  Each model keeps, as ``_tables`` in its instance
+``__dict__``, the index tables of a group whose heap it is (for a validated
+heap, its retract at carrier[0]) and the <= log2(n) elements Light's test
+visited, which generate it; every table it shows is a read-only view over
+them, in O(n^2) memory, and a heap pickles as that group.  A morphism check
+reads one row per generator, O(n log n), and scans rows in O(n^2) only to
+name the witness of a map that fails.  Retracts and heaps of a group are not
+validated again.
 
 All values are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, filterfalse, product, repeat
+from itertools import chain, compress, count, filterfalse, product, repeat
 from operator import ne
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 # the label rule is re-exported here
@@ -121,7 +120,7 @@ def word_from_tree(tree) -> FreeHeapWord:
 
 
 class GroupModel(Frozen):
-    """Finite group as read-only copies of explicit tables, validated in O(n^2 log n).
+    """Finite group from explicit tables, validated in O(n^2 log n); ``op`` and ``inverse`` are views.
 
     The tables are read once into carrier indices.  Associativity is Light's
     test: the g with (x*g)*y = x*(g*y) for all x, y form a submagma, so only
@@ -148,30 +147,38 @@ class GroupModel(Frozen):
             raise GroupAxiomError("a group needs at least the identity element")
         if self.identity not in index:
             raise GroupAxiomError(f"identity {self.identity!r} not in carrier")
-        op, inverse = dict(self.op), dict(self.inverse)
-        object.__setattr__(self, "op", MappingProxyType(op))
-        object.__setattr__(self, "inverse", MappingProxyType(inverse))
-        table, inv = _index_tables(elems, index, op, inverse)
-        if len(inverse) != len(elems):
-            stray = next(filterfalse(index.__contains__, inverse))
-            raise GroupAxiomError(f"inverse table has a stray entry at {stray!r}")
-        if len(op) != len(elems) ** 2:
-            stray = next(filterfalse(set(product(elems, repeat=2)).__contains__, op))
-            raise GroupAxiomError(f"operation table has a stray entry at {stray!r}")
-        vars(self)["_tables"] = (index, table, inv, _check_group(elems, table, inv, index[self.identity]))
+        n, inv, flat = len(elems), _read(self.inverse, elems, index, 1), _read(self.op, elems, index, 2)
+        row = (flat + [-1]).index(-1) // n  # the first with a gap in op, n if none; an inverse gap up to it comes first
+        if -1 in inv[:row + 1]:
+            raise GroupAxiomError(f"inverse table not total at {elems[inv.index(-1)]!r}")
+        if row < n:
+            raise GroupAxiomError(f"operation table not total at {_key(elems, flat.index(-1), 2)!r}")
+        for given, name, arity in ((self.inverse, "inverse", 1), (self.op, "operation", 2)):
+            if len(given) != n ** arity:  # total, so only an entry outside carrier^arity makes it longer
+                raise GroupAxiomError(f"{name} table has a stray entry at {_stray(given, index, arity)!r}")
+        table = [flat[a * n:a * n + n] for a in range(n)]
+        tables = (index, table, inv, _check_group(elems, table, inv, index[self.identity]))
+        object.__setattr__(self, "op", _IndexView(2, elems, tables))
+        object.__setattr__(self, "inverse", _IndexView(1, elems, tables))
+        vars(self)["_tables"] = tables
 
 
-def _index_tables(elems, index, op, inverse) -> tuple[list[list[int]], list[int]]:
-    """table[i][j] and inv[i], the indices of elems[i] * elems[j] and elems[i]^-1; rejects tables not total."""
-    table, inv, at = [], [], index.get
-    for a in elems:
-        inv.append(at(inverse.get(a, _MISSING), -1))
-        if inv[-1] < 0:
-            raise GroupAxiomError(f"inverse table not total at {a!r}")
-        table.append([at(op.get((a, b), _MISSING), -1) for b in elems])
-        if -1 in table[-1]:
-            raise GroupAxiomError(f"operation table not total at ({a!r}, {elems[table[-1].index(-1)]!r})")
-    return table, inv
+def _read(table, elems, index, arity) -> list[int]:
+    """A caller's table read once, by key in product order, as the carrier indices of its values, -1 for none."""
+    keys = elems if arity == 1 else product(elems, repeat=arity)
+    return list(map(index.get, map(table.get, keys, repeat(_MISSING)), repeat(-1)))
+
+
+def _key(elems, p: int, arity: int) -> tuple:
+    """The key at position p of product(elems, repeat=arity)."""
+    n = len(elems)
+    return tuple(elems[p // n ** (arity - 1 - d) % n] for d in range(arity))
+
+
+def _stray(table, index, arity):
+    """The first key of a table outside carrier^arity (the carrier at arity 1)."""
+    inside = (lambda key: isinstance(key, tuple) and len(key) == arity and all(map(index.__contains__, key)))
+    return next(filterfalse(index.__contains__ if arity == 1 else inside, table))
 
 
 def _check_group(elems, table: list[list[int]], inv: list[int], e: int) -> list[int]:
@@ -199,7 +206,7 @@ def _check_group(elems, table: list[list[int]], inv: list[int], e: int) -> list[
 
 
 class FiniteHeapModel(Frozen):
-    """Finite heap as a read-only copy of a ternary table, validated in O(n^3).
+    """Finite heap from a ternary table, validated in O(n^3); ``ternary`` is a view.
 
     The table is a heap exactly when its retract at e = carrier[0] is a group
     and [a,b,c] = a * b^-1 * c throughout, for then it is the heap of that
@@ -219,30 +226,26 @@ class FiniteHeapModel(Frozen):
         checked = _checked_heap(self.carrier, self.ternary)
         if isinstance(checked, HeapAxiomError):
             raise checked
-        object.__setattr__(self, "ternary", checked[0])
-        vars(self)["_tables"] = checked[1]
+        object.__setattr__(self, "ternary", _IndexView(3, self.carrier, checked))
+        vars(self)["_tables"] = checked
 
-    def __reduce__(self):  # a heap of a group travels as that group: n^2 + n entries, not n^3
-        t = self.ternary
-        if isinstance(t, _IndexView):  # the view's fields only: a copy may have dropped ``_tables``
-            return heap_from_group, (_group_of(t._elems, t._tables),)
-        return super().__reduce__()
+    def __reduce__(self):  # as its group, n^2 + n entries, not n^3; the empty heap has no group and travels as {}
+        t = self.ternary  # the view's fields only: a copy may have dropped ``_tables``
+        return (heap_from_group, (_group_of(t._elems, t._tables),)) if self.carrier else super().__reduce__()
 
 
 def _checked_heap(elems, ternary):
-    """(read-only copy, retract tables at elems[0]) or the HeapAxiomError, returned so no traceback holds n^3 locals."""
-    index = {x: i for i, x in enumerate(elems)}
-    if len(index) != len(elems):
+    """The retract tables at elems[0] or the HeapAxiomError, returned so no traceback holds n^3 locals."""
+    index, n = {x: i for i, x in enumerate(elems)}, len(elems)  # an empty carrier passes every check below
+    if len(index) != n:
         return HeapAxiomError("carrier labels must be distinct")
-    t = dict(ternary)
-    values = list(map(t.get, product(elems, repeat=3), repeat(_MISSING)))
+    values = list(map(ternary.get, product(elems, repeat=3), repeat(_MISSING)))  # read once; failures named by position
     if not set(values) <= index.keys():
-        key = next(key for key, v in zip(product(elems, repeat=3), values) if v not in index)
-        return HeapAxiomError(f"ternary table not total at {key}")
-    if len(t) != len(values):  # t is total, so only an entry outside carrier^3 makes it longer
-        stray = next(filterfalse(set(product(elems, repeat=3)).__contains__, t))
-        return HeapAxiomError(f"ternary table has a stray entry at {stray!r}")
-    n, at = len(elems), index.__getitem__  # an empty carrier passes every check below
+        gap = list(map(index.__contains__, values)).index(False)
+        return HeapAxiomError(f"ternary table not total at {_key(elems, gap, 3)}")
+    if len(ternary) != len(values):  # the table is total, so only an entry outside carrier^3 makes it longer
+        return HeapAxiomError(f"ternary table has a stray entry at {_stray(ternary, index, 3)!r}")
+    at = index.__getitem__
     table = [list(map(at, values[a * n * n:a * n * n + n])) for a in range(n)]  # [a,e,b]
     inv = [at(values[a * n]) for a in range(n)]  # [e,a,e]
     try:
@@ -253,9 +256,9 @@ def _checked_heap(elems, ternary):
         return error
     expected = _bracket_values(elems, table, inv)
     if values != expected:
-        key = next(compress(product(elems, repeat=3), map(ne, values, expected)))
-        return HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {elems[0]!r}", witness=key)
-    return MappingProxyType(t), (index, table, inv, gens)
+        wrong = next(compress(count(), map(ne, values, expected)))
+        return HeapAxiomError(f"[a,b,c] != a*b^-1*c at base {elems[0]!r}", witness=_key(elems, wrong, 3))
+    return index, table, inv, gens
 
 
 def retract_group(h: FiniteHeapModel, e: str) -> GroupModel:
@@ -315,13 +318,18 @@ class _IndexView(Mapping):
     def __len__(self):
         return len(self._elems) ** self._arity
 
-    def __eq__(self, other):  # in C-speed loops: the other's values in this key order against the flat values
+    def _values(self) -> list:  # in key order
+        (_, rows, inv, _), k, elems = self._tables, self._arity, self._elems
+        if k == 3:
+            return _bracket_values(elems, rows, inv)
+        return list(map(elems.__getitem__, inv if k == 1 else chain.from_iterable(rows)))
+
+    def __eq__(self, other):  # in C-speed loops: value lists in this key order
         if not isinstance(other, Mapping):
             return NotImplemented
-        (_, rows, inv, _), k, elems = self._tables, self._arity, self._elems
-        flat = inv if k == 1 else chain.from_iterable(rows)
-        return len(other) == len(self) and list(map(other.get, self, repeat(_MISSING))) == (
-            _bracket_values(elems, rows, inv) if k == 3 else list(map(elems.__getitem__, flat)))
+        if isinstance(other, _IndexView) and (other._arity, other._elems) == (self._arity, self._elems):
+            return self._values() == other._values()  # the same keys in the same order
+        return len(other) == len(self) and list(map(other.get, self, repeat(_MISSING))) == self._values()
 
     def __repr__(self):  # as the read-only dict it stands for, so a value's repr is the same either way
         return f"mappingproxy({dict(self)!r})"
@@ -351,7 +359,7 @@ def check_heap_morphism(
     """
     (index, table, inv, gens), (t_index, t_table, t_inv, _) = source._tables, target._tables
     elems = source.carrier
-    phi = list(map(t_index.get, map(mapping.get, elems, repeat(_MISSING)), repeat(-1)))
+    phi = _read(mapping, elems, t_index, 1)
     if -1 in phi:
         x = elems[phi.index(-1)]
         raise ValueError(f"mapping sends {x!r} outside the target carrier" if x in mapping

@@ -11,9 +11,9 @@ coordinates of the built lattice).  Entry growth during elimination is kept
 in check by pivoting on a least nonzero entry.
 
 Only the transforms a caller reads are built.  ``hnf`` returns its rows x
-rows transform, so a caller with many rows inserts them one at a time;
-``smith_decomposition`` builds the column transform at once and the rows x
-rows row transform on first read.
+rows transform; a caller that needs none (a basis built one row at a time)
+runs ``_hnf_inplace`` with empty transform rows, as ``smith_decomposition``
+does for its row transform, which it builds on first read.
 
 Matrices are immutable values; every function returns fresh objects.
 """
@@ -119,8 +119,7 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def _row_sub(target: list[int], source: list[int], q: int) -> None:
-    for j in range(len(target)):
-        target[j] -= q * source[j]
+    target[:] = [x - q * y for x, y in zip(target, source)]
 
 
 def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> list[tuple[int, int]]:
@@ -175,8 +174,7 @@ def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> list[tuple[int, int]
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form: returns (H, U) with U unimodular and U*M = H."""
-    a = m.to_rows()
-    u = identity_matrix(m.rows).to_rows()
+    a, u = m.to_rows(), identity_matrix(m.rows).to_rows()
     _hnf_inplace(a, u)
     return IntMatrix.from_rows(a, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows)
 
@@ -293,8 +291,7 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     The diagonal forms a divisibility chain d1 | d2 | ... followed by zeros.
     Only the column transform is built here; ``left`` waits until it is read.
     """
-    a = m.to_rows()
-    v = identity_matrix(m.cols).to_rows()
+    a, v = m.to_rows(), identity_matrix(m.cols).to_rows()
     _smith_inplace(a, [[] for _ in range(m.rows)], v)
     return SmithDecomposition(
         diagonal=tuple(a[i][i] for i in range(min(m.rows, m.cols))),

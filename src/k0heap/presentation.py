@@ -22,12 +22,12 @@ once and tests a relation by the weighted sum of its terms' classes.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import cycle
+from itertools import compress, cycle
 from types import MappingProxyType
 from typing import ClassVar, Hashable, Iterable, Mapping, NamedTuple
 
-from ._frozen import Frozen, bracket_letters, check_label
-from .lattice import IntMatrix, InvariantFactors, hnf, residue, smith_decomposition
+from ._frozen import Frozen, _assembled, bracket_letters, check_label
+from .lattice import IntMatrix, InvariantFactors, _hnf_inplace, hnf, residue, smith_decomposition
 
 
 class UnknownGeneratorError(ValueError):
@@ -129,7 +129,7 @@ def normalize_affine(tree) -> AffineWord:
     acc: dict[str, int] = {}
     for label, sign in zip(bracket_letters(tree), cycle((1, -1))):
         acc[label] = acc.get(label, 0) + sign
-    return AffineWord.from_coefficients(acc)  # drops zero coefficients
+    return _assembled(AffineWord, tuple(sorted(item for item in acc.items() if item[1])))  # odd, checked: sums to 1
 
 
 class AbelianHeapPresentation(Frozen):
@@ -161,19 +161,19 @@ def _relation_hnf(p: AbelianHeapPresentation) -> IntMatrix:
     """The Hermite basis of the relations of ``p``: its rank nonzero rows.
 
     Each relation's own terms are reduced against the sparse pivot rows of
-    the basis so far.  A nonempty residue lies in relation + lattice, so
-    ``hnf`` on the basis plus that residue, densified, spans the same lattice
-    as with the relation, at most rank + 1 rows.  The Hermite form of a
-    lattice is unique, so the basis is the one the whole matrix gives.
+    the basis so far.  A nonempty residue lies in relation + lattice, so the
+    basis plus that residue, densified and brought to Hermite form in place
+    (with empty transform rows), spans the same lattice as with the relation
+    in at most rank + 1 rows.  A lattice has one Hermite form: the whole matrix's.
     """
     n, index = len(p.generators), {g: j for j, g in enumerate(p.generators)}
     rows, pivots = [], {}
     for r in p.relations:
         rest = residue(pivots, {index[g]: c for g, c in r.terms})
         if rest:
-            h, _ = hnf(IntMatrix.from_rows(rows + [[rest.get(j, 0) for j in range(n)]], cols=n))
-            rows = [row for row in h.to_rows() if any(row)]
-            nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+            rows.append([rest.get(j, 0) for j in range(n)])
+            del rows[len(_hnf_inplace(rows, [[] for _ in rows])):]  # one pivot per nonzero row, zero rows last
+            nonzero = [list(compress(enumerate(row), row)) for row in rows]
             pivots = {entries[0][0]: (entries[0][1], tuple(entries[1:])) for entries in nonzero}
     return IntMatrix.from_rows(rows, cols=n)
 

@@ -2,7 +2,9 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import MappingProxyType
 
@@ -15,6 +17,7 @@ from k0heap.heaps import (
     GroupAxiomError,
     GroupModel,
     HeapAxiomError,
+    _IndexView,
     check_heap_morphism,
     cyclic_group,
     heap_from_group,
@@ -581,6 +584,66 @@ def test_entries_outside_the_carrier_are_rejected():
         with pytest.raises(GroupAxiomError) as exc:
             GroupModel(carrier=g.carrier, op=op, identity="0", inverse=inverse)
         assert (str(exc.value), exc.value.witness) == (message, ())
+
+
+def test_the_first_stray_key_of_an_order_16_table_is_named():
+    """Strays at the front, middle and end of a caller's 4,096 brackets or 256 products, as the oracles name them."""
+    elems, table = zmod_table(16)
+    _, op, _, inverse = group_model_args(*zmod(16))
+    heap_strays = [("3", "4", "99"), ("3", "4"), "345", ("3", "4", "5", "6"), ("16", "0", "0")]
+    op_strays = [("3", "99"), ("3",), "34", ("3", "4", "5"), ("16", "0")]
+
+    def inserted(items, at, *keys):
+        return dict(items[:at] + [(key, "0") for key in keys] + items[at:])
+
+    for items, strays in ((list(table.items()), heap_strays), (list(op.items()), op_strays)):
+        for at, stray in itertools.product((0, len(items) // 2, len(items)), strays):
+            broken = inserted(items, at, stray, strays[(strays.index(stray) + 1) % len(strays)])
+            message = f"has a stray entry at {stray!r}"
+            if strays is heap_strays:
+                assert heap_axiom_failure(elems, broken) == ("stray", stray)
+                with pytest.raises(HeapAxiomError, match=f"^ternary table {re.escape(message)}$"):
+                    FiniteHeapModel(carrier=elems, ternary=broken)
+            else:
+                assert group_axiom_failure(elems, broken, "0", inverse) == (f"operation table {message}", ())
+                with pytest.raises(GroupAxiomError, match=f"^operation table {re.escape(message)}$"):
+                    GroupModel(carrier=elems, op=broken, identity="0", inverse=inverse)
+    items = list(inverse.items())
+    for at in (0, 8, 16):
+        broken = inserted(items, at, "16", ("3",))
+        assert group_axiom_failure(elems, op, "0", broken) == ("inverse table has a stray entry at '16'", ())
+        with pytest.raises(GroupAxiomError, match="^inverse table has a stray entry at '16'$"):
+            GroupModel(carrier=elems, op=op, identity="0", inverse=broken)
+
+
+def test_an_inverse_gap_is_named_before_a_product_gap_in_its_row_and_after_one_in_an_earlier_row():
+    elems, op, _, inverse = group_model_args(*zmod(16))
+    for inverse_gap, op_gap, message in (("3", ("3", "5"), "inverse table not total at '3'"),
+                                         ("3", ("3", "0"), "inverse table not total at '3'"),
+                                         ("4", ("3", "15"), "operation table not total at ('3', '15')"),
+                                         ("0", ("15", "15"), "inverse table not total at '0'")):
+        broken_op, broken_inverse = dict(op), dict(inverse)
+        del broken_op[op_gap], broken_inverse[inverse_gap]
+        assert group_axiom_failure(elems, broken_op, "0", broken_inverse) == (message, ())
+        with pytest.raises(GroupAxiomError, match=f"^{re.escape(message)}$"):
+            GroupModel(carrier=elems, op=broken_op, identity="0", inverse=broken_inverse)
+
+
+def test_a_model_validated_from_a_callers_table_keeps_no_copy_of_it():
+    """At order 64 a model keeps its index tables only: well under 1 MiB beside the caller's 262,144 brackets."""
+    h = heap_from_group(cyclic_group(64))
+    table = dict(h.ternary)
+    _, op, _, inverse = group_model_args(*zmod(64))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        heap, group = FiniteHeapModel(h.carrier, table), GroupModel(h.carrier, op, "0", inverse)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20, retained
+    assert type(heap.ternary) is type(group.op) is type(group.inverse) is _IndexView
+    assert heap == h and group == cyclic_group(64)
 
 
 def group_model_args(elems, mul, inv):

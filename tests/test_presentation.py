@@ -1,11 +1,15 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k0heap import presentation
-from k0heap.lattice import IntMatrix, hnf
+from k0heap.category import compare_projection, k0_presentation, split_presentation, truss_table
+from k0heap.instances import bounded_abelian_groups_file, finite_sets_spec, vect_spec
+from k0heap.lattice import IntMatrix, _hnf_inplace, hnf
 from k0heap.presentation import (
     AbelianHeapPresentation,
     combine,
@@ -132,7 +136,7 @@ def presentation_of(n, rows):
 def inserted_basis(p, monkeypatch):
     """The basis built without the cache, and the number of relations it inserted."""
     inserts = []
-    monkeypatch.setattr(presentation, "hnf", lambda m: inserts.append(m.rows) or hnf(m))
+    monkeypatch.setattr(presentation, "_hnf_inplace", lambda a, u: inserts.append(len(a)) or _hnf_inplace(a, u))
     basis = _relation_hnf(p)
     monkeypatch.undo()
     assert all(rows <= basis.rows + 1 for rows in inserts)
@@ -590,3 +594,34 @@ def test_induced_morphism_matches_the_per_relation_query(case):
     """The whole report (ok, witness, morphism) or the input error, as one membership query per relation gives it."""
     src, dst, genmap = case
     assert outcome(induced_morphism, src, dst, genmap) == outcome(morphism_by_membership, src, dst, genmap)
+
+
+def _presentation_calls(p, split, table, pairs):
+    """What a shared presentation serves: word equality, a retract, and the truss and projection checks it has."""
+    return ([word_equal(p, a, b) for a, b in pairs], retract_group_structure(p, p.generators[-1]),
+            table and truss_from_table(p, table), split and compare_projection(split, p))
+
+
+def test_presentation_calls_from_four_threads_match_the_serial_results():
+    """Set, vect and zmod presentations shared by four threads racing to build their bases give the serial results."""
+    rng, cases = random.Random(5), []
+    for spec in (finite_sets_spec(6), vect_spec(5), bounded_abelian_groups_file()):
+        p = k0_presentation(spec)
+        words = [normalize_affine([rng.choice(p.generators) for _ in range(5)]) for _ in range(40)]
+        pairs = list(zip(words, words[1:] + [gen(g) for g in p.generators[:3]]))
+        split = split_presentation(spec) if spec.zero is not None else None
+        cases.append((p, split, truss_table(spec) if spec.products is not None else None, pairs))
+    _relation_lattice.cache_clear()
+    expected = [_presentation_calls(*case) for case in cases]
+    assert {x for e in expected for x in e[0]} == {True, False}
+    assert all(e[2] is None or e[2].ok for e in expected) and [e[3] is None for e in expected] == [True, False, False]
+    _relation_lattice.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that one thread reads what another is still building
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_presentation_calls, *cases[k % len(cases)]) for k in range(4 * len(cases))]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[k % len(cases)] for k in range(4 * len(cases))]

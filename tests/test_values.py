@@ -28,6 +28,7 @@ from k0heap.heaps import (
     FreeHeapWord,
     GroupModel,
     MorphismCheck,
+    _IndexView,
     cyclic_group,
     heap_from_group,
     retract_group,
@@ -189,9 +190,9 @@ def test_values_copy_and_pickle_to_equal_values(name):
     assert copy.copy(value) == value
     for again in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert again == value
-        for field in value._fields:  # a table comes back read-only
-            if isinstance(getattr(value, field), MappingProxyType):
-                assert isinstance(getattr(again, field), MappingProxyType)
+        for field in value._fields:  # a table comes back read-only, as a proxy or as a view
+            if isinstance(getattr(value, field), (MappingProxyType, _IndexView)):
+                assert type(getattr(again, field)) is type(getattr(value, field))
 
 
 def test_affine_word_never_equals_a_relation_vector_with_the_same_terms():
@@ -216,52 +217,73 @@ def test_spec_equality_ignores_entry_order_and_specs_stay_unhashable():
         hash(shuffled)
 
 
-def test_tables_stay_read_only_copies():
-    """A caller's table is copied into a read-only proxy; a table derived from a group refuses writes as well."""
-    op = dict(_group().op)
+def test_tables_stay_read_only_and_ignore_later_changes_to_the_callers():
+    """A spec's tables are copied into read-only proxies; every finite-model table is a read-only view."""
+    op, ternary = dict(_group().op), dict(heap_from_group(_group()).ternary)
     g = GroupModel(carrier=("0", "1"), op=op, identity="0", inverse={"0": "0", "1": "1"})
+    h = FiniteHeapModel(carrier=g.carrier, ternary=ternary)
     op[("1", "1")] = "1"
-    h = FiniteHeapModel(carrier=g.carrier, ternary=dict(heap_from_group(g).ternary))
+    ternary[("1", "1", "1")] = "0"
     spec = _spec()
     copied = [
-        g.op, g.inverse, h.ternary, spec.sums, spec.products,
-        FunctorSpec(source=spec, target=spec, object_map={"0": "0", "A": "A"}).object_map,
+        spec.sums, spec.products, FunctorSpec(source=spec, target=spec, object_map={"0": "0", "A": "A"}).object_map,
         _table().entries, CASES["PresentationMorphism"][0]().images,
     ]
     retract = retract_group(heap_from_group(g), "1")
-    derived = [heap_from_group(g).ternary, retract.op, retract.inverse]
-    for table in copied + derived:
-        assert (type(table) is MappingProxyType) is any(table is t for t in copied)
+    views = [g.op, g.inverse, h.ternary, heap_from_group(g).ternary, retract.op, retract.inverse]
+    for table in copied + views:
+        assert type(table) is (MappingProxyType if any(table is t for t in copied) else _IndexView)
         key, value = next(iter(table.items()))
         with pytest.raises(TypeError):
             table[key] = None
         with pytest.raises(TypeError):
             del table[key]
         assert table[key] == value
-    assert g.op[("1", "1")] == "0"
+    assert g.op[("1", "1")] == "0" and h.ternary[("1", "1", "1")] == "1"
+    assert g == _group() and h == heap_from_group(_group())
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
 
 
 def test_a_heap_of_a_group_equals_the_model_validated_from_its_table():
-    """The view-backed model and the dict-backed one are equal in both directions, and so are their copies."""
+    """Both are views, equal to each other and to the table in both directions, and so are their copies."""
     for g in (_group(), cyclic_group(5), retract_group(heap_from_group(cyclic_group(6)), "4")):
         view = heap_from_group(g)
-        table = FiniteHeapModel(carrier=g.carrier, ternary=dict(view.ternary))
-        assert type(view.ternary) is not MappingProxyType and type(table.ternary) is MappingProxyType
+        plain = dict(view.ternary)
+        table = FiniteHeapModel(carrier=g.carrier, ternary=plain)
+        assert type(view.ternary) is type(table.ternary) is _IndexView
         assert view == table and table == view and not view != table and not table != view
-        assert repr(view) == repr(table)
-        for again in (copy.copy(view), copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
-            assert again == view and again == table and table == again
-            assert type(again.ternary) is type(view.ternary)  # a heap of a group comes back as one
+        for t in (view.ternary, table.ternary):
+            assert t == plain and plain == t and not t != plain and not plain != t
+        assert repr(view) == repr(table) and repr(table.ternary) == repr(MappingProxyType(plain))
+        for again in (f(h) for h in (view, table) for f in (copy.copy, copy.deepcopy, _pickled)):
+            assert again == view and again == table and table == again and again.ternary == plain
+            assert type(again.ternary) is _IndexView
         assert view != heap_from_group(cyclic_group(7)) and table != heap_from_group(cyclic_group(7))
+    z4, bits = cyclic_group(4), ("0", "1", "2", "3")
+    v4 = GroupModel(bits, {(a, b): str(int(a) ^ int(b)) for a in bits for b in bits}, "0", {a: a for a in bits})
+    for x, y in ((z4.op, v4.op), (z4.inverse, v4.inverse), (heap_from_group(z4).ternary, heap_from_group(v4).ternary)):
+        assert type(x) is type(y) is _IndexView and list(x) == list(y)  # the same keys in the same order
+        assert x != y and y != x and not x == y and x == dict(x) and y == dict(y)
+    z5 = heap_from_group(cyclic_group(5))
+    shuffled = FiniteHeapModel(carrier=("2", "0", "4", "1", "3"), ternary=dict(z5.ternary))
+    assert shuffled != z5 and shuffled.ternary == z5.ternary  # another carrier order, so another value, same table
 
 
-def test_a_heap_of_a_group_pickles_as_its_group():
-    """n^2 + n entries, not n^3: at order 64 under 100 KB, where the same heap validated from its table takes 2 MB."""
+def test_every_heap_pickles_as_its_group():
+    """n^2 + n entries, not n^3: at order 64 under 100 KB, whether it came from a group or from a caller's table."""
     g = cyclic_group(64)
     h = heap_from_group(g)
-    assert len(pickle.dumps(h)) < 100_000 and len(pickle.dumps(g)) < 100_000
-    assert len(pickle.dumps(FiniteHeapModel(h.carrier, dict(h.ternary)))) > 2_000_000  # a caller's table travels whole
-    assert pickle.loads(pickle.dumps(h)) == h
+    validated = FiniteHeapModel(h.carrier, dict(h.ternary))
+    for value in (g, h, validated):
+        assert len(pickle.dumps(value)) < 100_000
+    assert pickle.loads(pickle.dumps(h)) == h and pickle.loads(pickle.dumps(validated)) == validated == h
+    empty = FiniteHeapModel((), {})  # no basepoint, so no group: it travels as its empty table
+    for again in (copy.copy(empty), copy.deepcopy(empty), pickle.loads(pickle.dumps(empty))):
+        assert again == empty and type(again.ternary) is _IndexView and len(again.ternary) == 0
+        assert repr(again) == repr(empty) == "FiniteHeapModel(carrier=(), ternary=mappingproxy({}))"
 
 
 def test_smith_left_transform_is_built_on_first_read():
