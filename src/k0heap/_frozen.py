@@ -89,10 +89,10 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        # rebuilt through __init__, which takes the fields in order and makes each
-        # read-only table (a proxy, which neither pickles nor deep-copies, or a view) from a plain dict
+        # rebuilt through __init__, which takes the fields in order and makes each read-only table (a proxy,
+        # which neither pickles nor deep-copies, or a view) from a dict of its items: no per-entry call
         fields = (getattr(self, name) for name in self._fields)
-        return type(self), tuple(dict(f) if isinstance(f, Mapping) else f for f in fields)
+        return type(self), tuple(dict(f.items()) if isinstance(f, Mapping) else f for f in fields)
 
 
 def _assembled(cls, *fields, **private):

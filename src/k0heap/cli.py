@@ -14,7 +14,6 @@ import gc
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from ._frozen import MAX_BOUND, bracket_letters
@@ -42,7 +41,8 @@ class CliError(Exception):
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2)
 

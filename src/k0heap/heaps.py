@@ -22,6 +22,7 @@ All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView
 from itertools import chain, compress, count, filterfalse, product, repeat
 from operator import ne
 from typing import Mapping, NamedTuple, Sequence
@@ -331,8 +332,16 @@ class _IndexView(Mapping):
             return self._values() == other._values()  # the same keys in the same order
         return len(other) == len(self) and list(map(other.get, self, repeat(_MISSING))) == self._values()
 
+    def items(self):  # iterated at C speed, so dict(view.items()) makes no per-entry call
+        return _Items(self)
+
     def __repr__(self):  # as the read-only dict it stands for, so a value's repr is the same either way
-        return f"mappingproxy({dict(self)!r})"
+        return f"mappingproxy({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values())
 
 
 class MorphismCheck(NamedTuple):

@@ -3,24 +3,24 @@
 All arithmetic is arbitrary-precision Python int.  A lattice is always the
 integer span of the *rows* of a matrix: relations are row vectors over
 generator coordinates, and a vector lies in the lattice exactly when its
-``residue`` against the Hermite form is empty.  ``residue`` works on sparse
-vectors and sparse pivot rows, so reducing a relation touches only its own
-terms and the rows that clear them; it serves the insertion of rows into a
-Hermite basis (see ``presentation``, whose queries read the Smith
-coordinates of the built lattice).  Entry growth during elimination is kept
-in check by pivoting on a least nonzero entry.
+``residue`` against the Hermite form is empty.
 
-Only the transforms a caller reads are built.  ``hnf`` returns its rows x
-rows transform; a caller that needs none (a basis built one row at a time)
-runs ``_hnf_inplace`` with empty transform rows, as ``smith_decomposition``
-does for its row transform, which it builds on first read.
+One Hermite algorithm: ``insert`` adds a sparse row to a reduced row
+Hermite form kept as {pivot column: sparse row}.  A presentation's basis
+inserts its relations (see ``presentation``), ``hnf`` the rows of [M | I],
+whose Hermite form is [H | U].  ``residue``, its reduce step, touches only
+the vector's own terms and the rows that clear them.  The Smith
+elimination pivots on a least nonzero entry against entry growth, and
+``smith_decomposition`` builds its row transform on first read.
 
 Matrices are immutable values; every function returns fresh objects.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from ._frozen import Frozen
@@ -122,77 +122,20 @@ def _row_sub(target: list[int], source: list[int], q: int) -> None:
     target[:] = [x - q * y for x, y in zip(target, source)]
 
 
-def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> list[tuple[int, int]]:
-    """Bring ``a`` to row Hermite normal form, mirroring row ops on ``u``.
-
-    Returns the pivot positions (row, col) in order.  Pivots end positive,
-    entries above a pivot reduced into [0, pivot), zero rows last.
-    """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    r = 0
-    pivots: list[tuple[int, int]] = []
-    for c in range(n):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if a[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
-            p = a[r][c]
-            clean = True
-            for i in range(r + 1, m):
-                if a[i][c]:
-                    q = a[i][c] // p
-                    if q:
-                        _row_sub(a[i], a[r], q)
-                        _row_sub(u[i], u[r], q)
-                    if a[i][c]:
-                        clean = False
-            if clean:
-                break
-        if r < m and a[r][c]:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
-            pivots.append((r, c))
-            r += 1
-    # normalize entries above each pivot into [0, pivot)
-    for i, c in pivots:
-        p = a[i][c]
-        for j in range(i):
-            q = a[j][c] // p
-            if q:
-                _row_sub(a[j], a[i], q)
-                _row_sub(u[j], u[i], q)
-    return pivots
-
-
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form: returns (H, U) with U unimodular and U*M = H."""
-    a, u = m.to_rows(), identity_matrix(m.rows).to_rows()
-    _hnf_inplace(a, u)
-    return IntMatrix.from_rows(a, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows)
-
-
-def residue(pivots: Mapping[int, tuple[int, tuple[tuple[int, int], ...]]], v: Mapping[int, int]) -> dict[int, int]:
+def residue(basis: Mapping[int, tuple], v: Mapping[int, int]) -> dict[int, int]:
     """Reduce the sparse vector ``v`` ({column: value}) against the rows of a row HNF.
 
-    ``pivots`` maps each row's pivot column to (pivot, ((column, value), ...))
-    with the row's other nonzero entries.  The least remaining column c is
-    cleared by its pivot row, the only row with pivot >= c that is nonzero at
-    c; the remainder is returned at the first c with no pivot row or whose
-    entry the pivot does not divide.  So it is empty exactly when ``v`` lies in
-    the row span, and it always differs from ``v`` by a vector of that span.
+    ``basis`` maps each row's pivot column to a tuple that starts (pivot,
+    ((column, value), ...)), the row's other nonzero entries.  The least
+    remaining column c is cleared by its pivot row, the only row with pivot
+    >= c nonzero at c; the remainder is returned at the first c with no
+    pivot row or one whose entry the pivot does not divide: empty exactly
+    when ``v`` lies in the row span, and always ``v`` minus a vector of it.
     """
     w = {c: x for c, x in v.items() if x}
     while w:
         c = min(w)
-        row = pivots.get(c)
+        row = basis.get(c)
         if row is None or w[c] % row[0]:
             return w
         q = w.pop(c) // row[0]
@@ -203,6 +146,66 @@ def residue(pivots: Mapping[int, tuple[int, tuple[tuple[int, int], ...]]], v: Ma
             else:
                 del w[j]
     return w
+
+
+def insert(basis: dict[int, tuple], v: Mapping[int, int]) -> None:
+    """Add the sparse vector ``v`` to ``basis``, a reduced row Hermite form, in place.
+
+    A row is (pivot, its other entries as pairs for ``residue``, the same as
+    a dict that an insert edits).  A remainder whose leading column c has no pivot row
+    becomes one, made positive; otherwise one Euclid step leaves
+    0 < v_c < pivot, v takes the pivot's place and the old row reduces on.
+    Then each row a changed pivot left out of [0, pivot) is reduced again.
+    """
+    w, touched = residue(basis, v), []
+    while w:
+        c = min(w)
+        old = basis.get(c)
+        if old is None and w[c] < 0:
+            w = {j: -x for j, x in w.items()}
+        elif old is not None:
+            _subtract(w, w[c] // old[0], c, old)
+        basis[c] = (w.pop(c), tuple(w.items()), w)
+        w = residue(basis, {c: old[0], **old[2]}) if old else {}
+        touched.append(c)
+    if not touched:
+        return
+    columns = sorted(basis)
+    wide = {j for j in columns if basis[j][0] > 1}  # the only pivots a reduced row can be nonzero at
+    for i in reversed(columns[:bisect_right(columns, max(touched))]):
+        p, _, row = basis[i]
+        bad = [j for j in (row if i in touched else touched) if j in basis and not 0 <= row.get(j, 0) < basis[j][0]]
+        if not bad:
+            continue
+        for k in sorted(wide.union(bad)):  # row k, reduced, moves no other pivot entry
+            if k > i:
+                _subtract(row, row.get(k, 0) // basis[k][0], k, basis[k])
+        basis[i] = (p, tuple(row.items()), row)
+
+
+def _subtract(w: dict[int, int], q: int, c: int, row: tuple) -> None:
+    """w -= q * (the basis row with pivot column c), in place, zeros dropped."""
+    get = w.get
+    for j, x in chain(((c, row[0]),), row[1]) if q else ():
+        y = get(j, 0) - q * x
+        if y:
+            w[j] = y
+        else:
+            del w[j]
+
+
+def basis_rows(basis: Mapping[int, tuple], cols: int) -> list[list[int]]:
+    """The rows of a basis built by ``insert`` as dense lists of width ``cols``, in pivot order."""
+    return [[p if j == c else d.get(j, 0) for j in range(cols)] for c, (p, _, d) in sorted(basis.items())]
+
+
+def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form: returns (H, U) with U unimodular and U*M = H, read off that of [M | I]."""
+    n, basis = m.cols, {}
+    for i in range(m.rows):
+        insert(basis, {**dict(enumerate(m.row(i))), n + i: 1})
+    rows = basis_rows(basis, n + m.rows)
+    return IntMatrix.from_rows([r[:n] for r in rows], cols=n), IntMatrix.from_rows([r[n:] for r in rows], cols=m.rows)
 
 
 def _smith_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> None:

@@ -9,25 +9,25 @@ first generator is the one membership kernel: a vector is a relation
 exactly when it sums to zero and all its class coordinates there are zero.
 
 Presentations are immutable and hashable.  Each presentation's Hermite
-basis is built one relation at a time, by reducing the relation's own
-terms against the basis's sparse pivot rows; only a relation that the basis
-so far does not span is densified and inserted.  That basis and the kernel
-are kept in a fixed-size module-level ``lru_cache`` keyed by the
-presentation's value, so each lookup hashes the whole presentation.  A
-check (truss, projection, morphism) makes one lookup per presentation,
-``word_equal`` one per query.  A check takes the class of each word it needs
-once and tests a relation by the weighted sum of its terms' classes.
+basis is built one relation at a time by ``lattice.insert``, which reduces
+the relation's own terms against the basis's sparse pivot rows and keeps
+the basis reduced; no row is densified until the basis is read out.  That
+basis and the kernel are kept in a fixed-size module-level ``lru_cache``
+keyed by the presentation's value, so each lookup hashes the whole
+presentation.  A check (truss, projection, morphism) makes one lookup per
+presentation, ``word_equal`` one per query.  A check takes each word's
+class once and tests a relation by the weighted sum of its terms' classes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, cycle
+from itertools import cycle
 from types import MappingProxyType
 from typing import ClassVar, Hashable, Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, _assembled, bracket_letters, check_label
-from .lattice import IntMatrix, InvariantFactors, _hnf_inplace, hnf, residue, smith_decomposition
+from .lattice import IntMatrix, InvariantFactors, basis_rows, hnf, insert, smith_decomposition
 
 
 class UnknownGeneratorError(ValueError):
@@ -158,24 +158,11 @@ def check_support(generators: tuple[str, ...] | frozenset[str], w: AffineWord | 
 
 
 def _relation_hnf(p: AbelianHeapPresentation) -> IntMatrix:
-    """The Hermite basis of the relations of ``p``: its rank nonzero rows.
-
-    Each relation's own terms are reduced against the sparse pivot rows of
-    the basis so far.  A nonempty residue lies in relation + lattice, so the
-    basis plus that residue, densified and brought to Hermite form in place
-    (with empty transform rows), spans the same lattice as with the relation
-    in at most rank + 1 rows.  A lattice has one Hermite form: the whole matrix's.
-    """
-    n, index = len(p.generators), {g: j for j, g in enumerate(p.generators)}
-    rows, pivots = [], {}
+    """The Hermite basis of the relations of ``p``, its rank nonzero rows, built one relation at a time."""
+    n, index, basis = len(p.generators), {g: j for j, g in enumerate(p.generators)}, {}
     for r in p.relations:
-        rest = residue(pivots, {index[g]: c for g, c in r.terms})
-        if rest:
-            rows.append([rest.get(j, 0) for j in range(n)])
-            del rows[len(_hnf_inplace(rows, [[] for _ in rows])):]  # one pivot per nonzero row, zero rows last
-            nonzero = [list(compress(enumerate(row), row)) for row in rows]
-            pivots = {entries[0][0]: (entries[0][1], tuple(entries[1:])) for entries in nonzero}
-    return IntMatrix.from_rows(rows, cols=n)
+        insert(basis, {index[g]: c for g, c in r.terms})
+    return IntMatrix.from_rows(basis_rows(basis, n), cols=n)
 
 
 @lru_cache(maxsize=8)  # more presentations than the warm-query workload keeps live

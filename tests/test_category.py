@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k0heap import presentation
+from k0heap import lattice
 from k0heap.category import (
     CategorySpec,
     FunctorSpec,
@@ -388,8 +388,8 @@ def test_presentations_still_check_every_label(ch):
 def test_checks_look_each_basis_up_once_per_presentation(monkeypatch):
     # a check reads class images off the cached retract structure: nothing reduces against the basis
     reductions, calls = [], []
-    residue, coordinates = presentation.residue, GroupStructure._coordinates
-    monkeypatch.setattr(presentation, "residue", lambda pivots, v: reductions.append(v) or residue(pivots, v))
+    residue, coordinates = lattice.residue, GroupStructure._coordinates
+    monkeypatch.setattr(lattice, "residue", lambda pivots, v: reductions.append(v) or residue(pivots, v))
     monkeypatch.setattr(GroupStructure, "_coordinates",
                         lambda gs, terms, images: calls.append(gs) or coordinates(gs, terms, images))
 

@@ -468,6 +468,17 @@ def test_cli_import_needs_neither_dataclasses_nor_the_generators():
     ]
 
 
+def test_cli_import_leaves_pathlib_unloaded():
+    # without site (-S) nothing else loads pathlib, so the CLI's file reads must not
+    src = str(Path(k0heap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, k0heap.cli; print('pathlib' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_snf_and_equal_load_only_the_layers_they_run(data_dir):
     # snf reads its size bound without loading the generators, and equal flattens words without heaps
     assert command_footprint("snf") == ["k0heap", "k0heap._frozen", "k0heap.cli", "k0heap.dsl", "k0heap.lattice"]

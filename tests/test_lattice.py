@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from k0heap.lattice import (
     IntMatrix,
     InvariantFactors,
+    basis_rows,
     hnf,
     identity_matrix,
+    insert,
     residue,
     smith_decomposition,
     snf,
@@ -238,9 +240,9 @@ def test_sparse_residue_matches_the_dense_reduction(case):
     h, v = case
     assert hnf(IntMatrix.from_rows(h))[0].to_rows() == h
     pivots = {}
-    for row in h:
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        pivots[nonzero[0][0]] = (nonzero[0][1], tuple(nonzero[1:]))
+    for row in h:  # a Hermite form's rows are their own basis
+        insert(pivots, dict(enumerate(row)))
+    assert basis_rows(pivots, len(v)) == h
     rest = residue(pivots, dict(enumerate(v)))
     dense = dense_residue(h, v)
     assert (not rest) == (not any(dense))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from k0heap import presentation
 from k0heap.category import compare_projection, k0_presentation, split_presentation, truss_table
 from k0heap.instances import bounded_abelian_groups_file, finite_sets_spec, vect_spec
-from k0heap.lattice import IntMatrix, _hnf_inplace, hnf
+from k0heap.lattice import IntMatrix, hnf, identity_matrix, insert
 from k0heap.presentation import (
     AbelianHeapPresentation,
     combine,
@@ -30,7 +30,14 @@ from k0heap.presentation import (
     _relation_lattice,
 )
 
-from oracles import axis_class_coordinates, dense_residue, morphism_by_membership, truss_check_by_relation_scan
+from oracles import (
+    axis_class_coordinates,
+    dense_residue,
+    hermite_rows,
+    matmul,
+    morphism_by_membership,
+    truss_check_by_relation_scan,
+)
 
 GENS = ("e", "a", "b", "c")
 
@@ -133,25 +140,28 @@ def presentation_of(n, rows):
     return AbelianHeapPresentation(generators=generators, relations=relations)
 
 
-def inserted_basis(p, monkeypatch):
-    """The basis built without the cache, and the number of relations it inserted."""
-    inserts = []
-    monkeypatch.setattr(presentation, "_hnf_inplace", lambda a, u: inserts.append(len(a)) or _hnf_inplace(a, u))
+def built_basis(p, monkeypatch):
+    """The basis built without the cache, and the number of relations that changed it."""
+    changes = []
+
+    def spy(basis, v):
+        before = {c: row[:2] for c, row in basis.items()}
+        insert(basis, v)
+        changes.append({c: row[:2] for c, row in basis.items()} != before)
+
+    monkeypatch.setattr(presentation, "insert", spy)
     basis = _relation_hnf(p)
     monkeypatch.undo()
-    assert all(rows <= basis.rows + 1 for rows in inserts)
-    return basis, len(inserts)
+    return basis, sum(changes)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tall_relation_matrices())
 def test_inserted_basis_is_nonzero_rows_of_full_hnf(shape):
     n, rows = shape
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        basis, _ = inserted_basis(presentation_of(n, rows), monkeypatch)
-    full, _ = hnf(IntMatrix.from_rows(rows, cols=n))
+    basis = _relation_hnf(presentation_of(n, rows))
     assert basis.cols == n
-    assert basis.to_rows() == [row for row in full.to_rows() if any(row)]
+    assert basis.to_rows() == hermite_rows(rows, n)
 
 
 def test_every_relation_can_be_an_insert(monkeypatch):
@@ -163,10 +173,56 @@ def test_every_relation_can_be_an_insert(monkeypatch):
             row = [0] * n
             row[0], row[j] = -2 ** k, 2 ** k
             rows.append(row)
-    basis, inserts = inserted_basis(presentation_of(n, rows), monkeypatch)
-    assert inserts == len(rows)
-    full, _ = hnf(IntMatrix.from_rows(rows, cols=n))
-    assert basis.to_rows() == [row for row in full.to_rows() if any(row)]
+    basis, changes = built_basis(presentation_of(n, rows), monkeypatch)
+    assert changes == len(rows)
+    assert basis.to_rows() == hermite_rows(rows, n)
+
+
+@st.composite
+def hermite_inputs(draw, sum_zero):
+    """Wide to tall rows of mostly 0, +-1 and +-2, with zero columns, repeated, scaled and zero rows, and rank near n.
+
+    With ``sum_zero`` the last column is minus the sum of the others, so every row is a relation.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    width = n - 1 if sum_zero else n
+    small = st.sampled_from((0, 0, 1, -1, 2, -2))
+    row = st.lists(st.one_of(small, small, st.integers(-40, 40)), min_size=width, max_size=width)
+    if draw(st.booleans()):  # integer combinations of at most `width` rows: rank close to full
+        base = draw(st.lists(row, min_size=max(0, width - 2), max_size=width))
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+        rows = [[sum(c * r[j] for c, r in zip(cs, base)) for j in range(width)]
+                for cs in draw(st.lists(coeffs, max_size=3 * n + 2))]
+    else:
+        rows = draw(st.lists(row, max_size=3 * n + 2))
+    live = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    rows = [[x if on else 0 for x, on in zip(r, live)] for r in rows]
+    edits = st.tuples(st.sampled_from("rsz"), st.integers(0, 99), st.integers(2, 4))
+    for kind, i, k in draw(st.lists(edits, max_size=4)):
+        if kind == "z" or not rows:
+            rows.append([0] * width)
+        else:  # a repeat, or a multiple for torsion
+            rows.append([(k if kind == "s" else 1) * x for x in rows[i % len(rows)]])
+    rows = draw(st.permutations(rows))
+    return n, [r + [-sum(r)] for r in rows] if sum_zero else rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_inputs(sum_zero=True))
+def test_relation_basis_is_the_independent_hermite_form(case):
+    n, rows = case
+    assert _relation_hnf(presentation_of(n, rows)).to_rows() == hermite_rows(rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_inputs(sum_zero=False))
+def test_hnf_is_the_independent_hermite_form_with_a_unimodular_transform(case):
+    n, rows = case
+    h, u = hnf(IntMatrix.from_rows(rows, cols=n))
+    expected = hermite_rows(rows, n)
+    assert h.to_rows() == expected + [[0] * n] * (len(rows) - len(expected))
+    assert u.rows == u.cols == len(rows) and matmul(u.to_rows(), rows) == h.to_rows()
+    assert hermite_rows(u.to_rows(), len(rows)) == identity_matrix(len(rows)).to_rows()  # unimodular
 
 
 @st.composite

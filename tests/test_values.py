@@ -286,6 +286,19 @@ def test_every_heap_pickles_as_its_group():
         assert repr(again) == repr(empty) == "FiniteHeapModel(carrier=(), ternary=mappingproxy({}))"
 
 
+def test_a_view_pickles_without_a_lookup_per_entry(monkeypatch):
+    g = cyclic_group(16)
+    h = heap_from_group(g)
+    lookups = []
+    get = _IndexView.__getitem__
+    monkeypatch.setattr(_IndexView, "__getitem__", lambda view, key: lookups.append(key) or get(view, key))
+    data = [pickle.dumps(value) for value in (g, h)]
+    assert lookups == []
+    monkeypatch.undo()
+    assert [pickle.loads(d) for d in data] == [g, h]
+    assert dict(g.op.items()) == {key: g.op[key] for key in g.op} and len(g.op.items()) == 256
+
+
 def test_smith_left_transform_is_built_on_first_read():
     dec = smith_decomposition(IntMatrix(rows=2, cols=2, entries=(2, 4, 6, 8)))
     assert "left" not in vars(dec)
