@@ -238,17 +238,15 @@ def cmd_demo(args) -> int:
     if kind == "zmod":
         sys.stdout.write(print_spec(instances.bounded_abelian_groups_file()))
         return 0
-    if kind == "cw":
-        if args.arg is None:
-            raise CliError("demo cw needs a cell-count file", 2)
-        try:
-            cw = instances.parse_cell_counts(_read_file(args.arg))
-        except ValueError as exc:
-            raise CliError(f"{args.arg}: {exc}", 2)
-        tree, cls = instances.cw_word(cw, args.convention), instances.cw_class(cw, args.convention)
-        _emit(args, "demo-cw", [f"convention {args.convention}", f"word {bracket_text(tree)}", f"class {cls}"])
-        return 0
-    raise CliError(f"unknown demo {kind!r}", 2)
+    if args.arg is None:  # cw, the one kind left: argparse refuses any other
+        raise CliError("demo cw needs a cell-count file", 2)
+    try:
+        cw = instances.parse_cell_counts(_read_file(args.arg))
+    except ValueError as exc:
+        raise CliError(f"{args.arg}: {exc}", 2)
+    tree, cls = instances.cw_word(cw, args.convention), instances.cw_class(cw, args.convention)
+    _emit(args, "demo-cw", [f"convention {args.convention}", f"word {bracket_text(tree)}", f"class {cls}"])
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

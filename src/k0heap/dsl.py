@@ -1,7 +1,8 @@
 """Line-oriented text format for category specs, plus bracket-word syntax.
 
 Grammar ('#' starts a comment, tokens are whitespace-separated, a comma
-binds to no token):
+binds to no token), stated once as the table ``_GRAMMAR`` that one walker
+reads every directive through:
 
     object NAME
     zero NAME
@@ -14,11 +15,12 @@ Parsing never falls back to silent defaults: every problem becomes a
 positioned diagnostic (1-based line and column of the first offending
 token; lines end at LF, CRLF or CR).  A parse with zero errors yields a
 spec that passes validate_spec; entries without a monomorphic leg are kept
-but flagged with a warning.  A pushout line that repeats its apex, has a
-[mono] leg and names only declared labels is read with one pattern match;
-every other line is walked token by token, and only that walk reports.
-Every reference to a label declared before it is read as the declared
-string, so a parsed spec holds one copy of each label.
+but flagged with a warning.  The input selects a fast path: a pushout line
+that repeats its apex, has a [mono] leg and names only declared labels is
+read with one pattern match; every other line is walked token by token,
+and only that walk reports.  Every reference to a label declared before it
+is read as the declared string, so a parsed spec holds one copy of each
+label.  A bracket word is read as regex tokens: '[', ']', ',' and labels.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ if TYPE_CHECKING:  # the spec parser loads category when it runs: reading a brac
     from .category import CategorySpec, PushoutEntry
 
 _TOKEN = re.compile(r",|[^\s,]+")
+_WORD_TOKEN = re.compile(r"[\[\],]|[^\s\[\],]+")  # a bracket word's tokens: '[', ']', ',' and labels
 # a pushout line as its tokens run, apex repeated; its own whitespace class is the one _TOKEN splits on
 _PUSHOUT = re.compile(
     r"\s*pushout\s+([^\s,]+)\s+->\s+([^\s,]+)(\s+\[mono\])?\s*,"
@@ -95,7 +98,7 @@ class _Parser:
     A token's column is worked out only when a diagnostic or an unresolved
     reference needs it, by tokenizing the line again.  A reference to an
     already declared label is not recorded: it can never be unknown.
-    Directives dispatch through the module table ``_HANDLERS``: a parser
+    Directives dispatch through the module table ``_GRAMMAR``: a parser
     holds no bound method of its own, so it is freed as soon as it is
     dropped, not by the cycle collector.
     """
@@ -117,11 +120,8 @@ class _Parser:
         self.lineno = 0
         self.code = ""  # the current line without its comment
 
-    def error(self, i: int, message: str) -> None:
-        self.diagnostics.append(Diagnostic("error", self.lineno, _column(self.code, i), message))
-
-    def warning(self, i: int, message: str) -> None:
-        self.diagnostics.append(Diagnostic("warning", self.lineno, _column(self.code, i), message))
+    def report(self, i: int, message: str, severity: str = "error") -> None:
+        self.diagnostics.append(Diagnostic(severity, self.lineno, _column(self.code, i), message))
 
     def run(self) -> ParseResult:
         from .category import CategorySpec, PushoutEntry
@@ -139,11 +139,11 @@ class _Parser:
             if not tokens:
                 continue
             self.lineno, self.code = lineno, code
-            handler = _HANDLERS.get(tokens[0])
-            if handler is None:
-                self.error(0, f"unknown directive {tokens[0]!r}")
+            directive = _GRAMMAR.get(tokens[0])
+            if directive is None:
+                self.report(0, f"unknown directive {tokens[0]!r}")
             else:
-                handler(self, tokens)
+                directive[0](self, tokens)
         self.check_references()
         errors = any(d.severity == "error" for d in self.diagnostics)
         spec = None
@@ -160,7 +160,7 @@ class _Parser:
 
     def take_label(self, tokens: list[str], i: int, *, declare: bool = False) -> str | None:
         if i >= len(tokens):
-            self.error(i, "missing label")
+            self.report(i, "missing label")
             return None
         tok = tokens[i]
         if not declare:
@@ -170,102 +170,84 @@ class _Parser:
         try:
             check_label(tok)
         except ValueError as exc:
-            self.error(i, str(exc))
+            self.report(i, str(exc))
             return None
         if declare:
             if tok in self.declared:
-                self.error(i, f"duplicate object {tok!r}")
+                self.report(i, f"duplicate object {tok!r}")
                 return None
             self.declared[tok] = tok
         else:
             self.references.append((tok, self.lineno, _column(self.code, i)))
         return tok
 
-    def expect(self, tokens: list[str], i: int, literal: str) -> bool:
-        if i >= len(tokens):
-            self.error(i, f"expected {literal!r}")
-            return False
-        if tokens[i] != literal:
-            self.error(i, f"expected {literal!r}, got {tokens[i]!r}")
-            return False
-        return True
-
-    def no_extra(self, tokens: list[str], i: int) -> bool:
-        if i < len(tokens):
-            self.error(i, f"unexpected trailing token {tokens[i]!r}")
-            return False
-        return True
+    def walk(self, tokens: list[str]) -> list | None:
+        """The labels and [mono] flags of a line read by ``_GRAMMAR``, or None once its first problem is reported."""
+        read: list = []
+        apex = None  # a repeated apex, checked once the arrow after it is read
+        i, n = 1, len(tokens)
+        for slot in _GRAMMAR[tokens[0]][1]:
+            tok = tokens[i] if i < n else None
+            if slot == "[mono]":
+                read.append(tok == slot)
+                i += tok == slot
+                continue
+            if slot in ("new", "label", "apex"):
+                label = self.take_label(tokens, i, declare=slot == "new")
+                if label is None:
+                    return None
+                if slot == "apex":
+                    apex = label
+                else:
+                    read.append(label)
+            elif tok != slot:
+                self.report(i, f"expected {slot!r}" if tok is None else f"expected {slot!r}, got {tok!r}")
+                return None
+            elif apex is not None:
+                if apex != read[0]:
+                    self.report(i - 1, f"apex mismatch: {apex!r} does not repeat {read[0]!r}")
+                    return None
+                apex = None
+            i += 1
+        if i < n:
+            self.report(i, f"unexpected trailing token {tokens[i]!r}")
+            return None
+        return read
 
     def parse_object(self, tokens: list[str]) -> None:
-        name = self.take_label(tokens, 1, declare=True)
-        if name is not None and self.no_extra(tokens, 2):
-            self.objects.append(name)
+        self.objects += self.walk(tokens) or ()
 
     def parse_point(self, tokens: list[str]) -> None:
-        # zero NAME | unit NAME
         kind = tokens[0]
         if getattr(self, kind) is not None:
-            self.error(0, f"duplicate {kind} declaration")
+            self.report(0, f"duplicate {kind} declaration")
             return
-        name = self.take_label(tokens, 1)
-        if name is not None and self.no_extra(tokens, 2):
-            setattr(self, kind, name)
+        read = self.walk(tokens)
+        if read is not None:
+            setattr(self, kind, read[0])
 
     def parse_pushout(self, tokens: list[str]) -> None:
-        # pushout APEX -> LEFT [mono]?, APEX -> RIGHT [mono]? => RESULT
-        apex = self.take_label(tokens, 1)
-        if apex is None or not self.expect(tokens, 2, "->"):
+        read = self.walk(tokens)
+        if read is None:
             return
-        left = self.take_label(tokens, 3)
-        if left is None:
-            return
-        i = 4
-        left_mono = i < len(tokens) and tokens[i] == "[mono]"
-        i += left_mono
-        if not self.expect(tokens, i, ","):
-            return
-        i += 1
-        apex2 = self.take_label(tokens, i)
-        if apex2 is None or not self.expect(tokens, i + 1, "->"):
-            return
-        if apex2 != apex:
-            self.error(i, f"apex mismatch: {apex2!r} does not repeat {apex!r}")
-            return
-        right = self.take_label(tokens, i + 2)
-        if right is None:
-            return
-        i += 3
-        right_mono = i < len(tokens) and tokens[i] == "[mono]"
-        i += right_mono
-        if not self.expect(tokens, i, "=>"):
-            return
-        result = self.take_label(tokens, i + 1)
-        if result is None or not self.no_extra(tokens, i + 2):
-            return
+        apex, left, left_mono, right, right_mono, result = read
         if not (left_mono or right_mono):
-            self.warning(0, "pushout has no [mono] leg: kept in the spec but it generates no relation")
+            self.report(0, "pushout has no [mono] leg: kept in the spec but it generates no relation", "warning")
         from .category import PushoutEntry
         self.pushouts.append(PushoutEntry(apex, left, right, result, left_mono, right_mono))
 
     def parse_table(self, tokens: list[str]) -> None:
-        # sum A + B = C | product A * B = C
-        kind = tokens[0]
-        a = self.take_label(tokens, 1)
-        if a is None or not self.expect(tokens, 2, "+" if kind == "sum" else "*"):
+        read = self.walk(tokens)
+        if read is None:
             return
-        b = self.take_label(tokens, 3)
-        if b is None or not self.expect(tokens, 4, "="):
-            return
-        c = self.take_label(tokens, 5)
-        if c is None or not self.no_extra(tokens, 6):
-            return
+        kind, (a, b, c) = tokens[0], read
         table = self.sums if kind == "sum" else self.products
         previous = table.get((a, b))
         if previous is not None:
             if previous != c:
-                self.error(0, f"conflicting {kind} for ({a}, {b}): {previous} vs {c}")
+                self.report(0, f"conflicting {kind} for ({a}, {b}): {previous} vs {c}")
             else:
-                self.warning(0, f"duplicate {kind} entry for ({a}, {b})")
+                self.report(0, f"duplicate {kind} entry for ({a}, {b})", "warning")
             return
         table[(a, b)] = c
         if kind == "sum":
@@ -283,19 +265,22 @@ class _Parser:
                 self.diagnostics.append(Diagnostic("error", lineno, _column(code, 0), message))
 
 
-_HANDLERS = {
-    "object": _Parser.parse_object,
-    "zero": _Parser.parse_point,
-    "unit": _Parser.parse_point,
-    "pushout": _Parser.parse_pushout,
-    "sum": _Parser.parse_table,
-    "product": _Parser.parse_table,
+# each directive's handler and its slots after the keyword: "new" declares a label, "label" refers to one,
+# "apex" must repeat the first label, "[mono]" is an optional flag, and any other slot is a literal token
+_GRAMMAR = {
+    "object": (_Parser.parse_object, ("new",)),
+    "zero": (_Parser.parse_point, ("label",)),
+    "unit": (_Parser.parse_point, ("label",)),
+    "pushout": (_Parser.parse_pushout,
+                ("label", "->", "label", "[mono]", ",", "apex", "->", "label", "[mono]", "=>", "label")),
+    "sum": (_Parser.parse_table, ("label", "+", "label", "=", "label")),
+    "product": (_Parser.parse_table, ("label", "*", "label", "=", "label")),
 }
 
 
-def _column(code: str, i: int) -> int:
+def _column(code: str, i: int, token: re.Pattern = _TOKEN) -> int:
     """1-based column of token ``i`` of ``code``, or just past its last token."""
-    spans = [m.span() for m in _TOKEN.finditer(code)]
+    spans = [m.span() for m in token.finditer(code)]
     return spans[i][0] + 1 if i < len(spans) else spans[-1][1] + 1
 
 
@@ -328,51 +313,42 @@ def parse_bracket_word(text: str):
 
     Examples: 'A', '[A,B,C]', '[A,[B,C,D],E]'.  Open brackets live on an
     explicit stack, so nesting depth is bounded only by the input length.
+    A token's column is worked out only for an error, by tokenizing again.
     """
-    n = len(text)
-    pos = 0
-    stack: list[tuple[list, int]] = []  # (children so far, column of the '[')
+    stack: list[tuple[list, int]] = []  # (children so far, index of the '[' token)
     node = None  # the node just completed, waiting for its parent
-    while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
+    for k, tok in enumerate(_WORD_TOKEN.findall(text)):
         if node is None:
-            if pos >= n:
-                raise WordSyntaxError("unexpected end of input", pos + 1)
-            if text[pos] == "[":
-                stack.append(([], pos + 1))
-                pos += 1
+            if tok == "[":
+                stack.append(([], k))
                 continue
-            start = pos
-            while pos < n and not text[pos].isspace() and text[pos] not in "[],":
-                pos += 1
-            node = text[start:pos]
-            if not node:
-                raise WordSyntaxError(f"expected a label, got {text[start]!r}", start + 1)
+            if tok == "]" or tok == ",":
+                raise WordSyntaxError(f"expected a label, got {tok!r}", _column(text, k, _WORD_TOKEN))
             try:
-                check_label(node)
+                node = check_label(tok)
             except ValueError as exc:
-                raise WordSyntaxError(str(exc), start + 1) from None
+                raise WordSyntaxError(str(exc), _column(text, k, _WORD_TOKEN)) from None
             continue
         if not stack:
-            if pos != n:
-                raise WordSyntaxError(f"unexpected trailing input {text[pos:]!r}", pos + 1)
-            return node
-        children, open_col = stack[-1]
+            col = _column(text, k, _WORD_TOKEN)
+            raise WordSyntaxError(f"unexpected trailing input {text[col - 1:]!r}", col)
+        children, opened = stack[-1]
         children.append(node)
         node = None
-        if pos >= n:
-            raise WordSyntaxError("unclosed bracket", open_col)
-        if text[pos] == ",":
-            pos += 1
+        if tok == ",":
             continue
-        if text[pos] != "]":
-            raise WordSyntaxError(f"expected ',' or ']', got {text[pos]!r}", pos + 1)
-        pos += 1
+        if tok != "]":
+            raise WordSyntaxError(f"expected ',' or ']', got {tok[0]!r}", _column(text, k, _WORD_TOKEN))
         stack.pop()
         if len(children) % 2 == 0:
-            raise WordSyntaxError(f"brackets need odd arity, got {len(children)} entries", open_col)
+            message = f"brackets need odd arity, got {len(children)} entries"
+            raise WordSyntaxError(message, _column(text, opened, _WORD_TOKEN))
         node = children
+    if node is None:
+        raise WordSyntaxError("unexpected end of input", len(text) + 1)
+    if stack:
+        raise WordSyntaxError("unclosed bracket", _column(text, stack[-1][1], _WORD_TOKEN))
+    return node
 
 
 def bracket_text(tree) -> str:

@@ -57,9 +57,6 @@ class IntMatrix(Frozen):
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
 
 class InvariantFactors(Frozen):
     """Canonical shape of a finitely generated abelian group.

@@ -6,7 +6,7 @@ schoolbook sums over row lists, determinants use cofactor expansion, Smith
 factors come from gcds of minors, group isomorphy is decided by exhaustive
 backtracking search over bijections, and group axioms, heap axioms and heap
 morphisms are checked on every tuple of elements, and Hermite forms come
-from extended-gcd row pairs over the whole matrix.  Five exceptions are
+from extended-gcd row pairs over the whole matrix.  Six exceptions are
 copies of library code as it was before a fast path or a merge replaced it:
 ``smith_with_transforms``, the Smith elimination with both transforms built
 eagerly, which pins the lazily built row transform and the class
@@ -14,9 +14,12 @@ coordinates read off the column transform; ``dense_residue``, the dense
 reduction against every pivot row of a Hermite form, which pins the sparse
 ``residue`` and lattice membership; ``parse_spec_by_columns``,
 the spec parser that gave every token its column, which pins the parser's
-specs and diagnostics; ``affine_by_signed_walk`` and ``word_by_reversal_walk``,
-the two walks that flattened a bracket tree before ``bracket_letters``
-served both, which pin the abelian image, the heap word and the message of
+specs and diagnostics; ``parse_bracket_word_by_chars``, the bracket-word
+reader that scanned character by character before words were read as
+regex tokens, which pins the tree or the message and column of any word;
+``affine_by_signed_walk`` and ``word_by_reversal_walk``, the two walks
+that flattened a bracket tree before ``bracket_letters`` served both,
+which pin the abelian image, the heap word and the message of
 an input with one fault; and ``morphism_check_by_lookup`` with
 ``retract_by_lookup``, the heap-morphism loop and the retract that looked
 every bracket up in the ternary tables, which pin the whole morphism check,
@@ -34,7 +37,7 @@ import re
 from math import gcd
 
 from k0heap.category import CategorySpec, ProjectionReport, PushoutEntry, zero_law_violations
-from k0heap.dsl import Diagnostic, ParseResult, split_lines
+from k0heap.dsl import Diagnostic, ParseResult, WordSyntaxError, split_lines
 from k0heap.heaps import check_label
 from k0heap.presentation import (
     AffineWord,
@@ -761,3 +764,58 @@ class ColumnTokenParser:
 def parse_spec_by_columns(src):
     """``ParseResult`` of the (token, column) parser for a ``SpecSource``."""
     return ColumnTokenParser(src).run()
+
+
+# ---------------------------------------------------------------- bracket words
+#
+# The bracket-word reader as it was when it scanned the text one character at a
+# time, skipping str.isspace() characters and working every column out from
+# its position.  The library now reads '[', ']', ',' and labels as regex tokens.
+
+
+def parse_bracket_word_by_chars(text: str):
+    """Tree of ``text``, or a ``WordSyntaxError`` with the library's message and column."""
+    n = len(text)
+    pos = 0
+    stack: list[tuple[list, int]] = []  # (children so far, column of the '[')
+    node = None  # the node just completed, waiting for its parent
+    while True:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if node is None:
+            if pos >= n:
+                raise WordSyntaxError("unexpected end of input", pos + 1)
+            if text[pos] == "[":
+                stack.append(([], pos + 1))
+                pos += 1
+                continue
+            start = pos
+            while pos < n and not text[pos].isspace() and text[pos] not in "[],":
+                pos += 1
+            node = text[start:pos]
+            if not node:
+                raise WordSyntaxError(f"expected a label, got {text[start]!r}", start + 1)
+            try:
+                check_label(node)
+            except ValueError as exc:
+                raise WordSyntaxError(str(exc), start + 1) from None
+            continue
+        if not stack:
+            if pos != n:
+                raise WordSyntaxError(f"unexpected trailing input {text[pos:]!r}", pos + 1)
+            return node
+        children, open_col = stack[-1]
+        children.append(node)
+        node = None
+        if pos >= n:
+            raise WordSyntaxError("unclosed bracket", open_col)
+        if text[pos] == ",":
+            pos += 1
+            continue
+        if text[pos] != "]":
+            raise WordSyntaxError(f"expected ',' or ']', got {text[pos]!r}", pos + 1)
+        pos += 1
+        stack.pop()
+        if len(children) % 2 == 0:
+            raise WordSyntaxError(f"brackets need odd arity, got {len(children)} entries", open_col)
+        node = children

@@ -233,6 +233,8 @@ def test_functor_partial_map_rejected():
     s = CategorySpec(objects=("A", "B"))
     with pytest.raises(ValueError):
         functor_induced(FunctorSpec(source=s, target=s, object_map={"A": "A"}))
+    with pytest.raises(ValueError, match="object map sends 'B' outside the target objects"):
+        functor_induced(FunctorSpec(source=s, target=s, object_map={"A": "A", "B": "C"}))
 
 
 def test_functor_product_mismatch_reported():
@@ -245,6 +247,33 @@ def test_functor_product_mismatch_reported():
     assert report.truss_checked
     assert not report.truss_ok
     assert report.truss_witness == ("a", "a", "a", "1")
+
+
+def test_functor_reports_a_source_pair_whose_image_pair_the_target_omits():
+    src = CategorySpec(objects=("1", "a", "b"), products={("a", "a"): "a", ("a", "b"): "b"}, unit="1")
+    dst = CategorySpec(objects=("1", "a", "b"), products={("a", "a"): "a"}, unit="1")
+    report = functor_induced(FunctorSpec(source=src, target=dst, object_map={o: o for o in src.objects}))
+    assert report.truss_checked and report.truss_ok
+    assert report.truss_witness is None
+    assert report.truss_omitted == (("a", "b"),)
+
+
+def test_functor_sending_the_unit_off_the_target_unit_is_witnessed():
+    src = CategorySpec(objects=("1", "a"), products={("a", "a"): "a"}, unit="1")
+    report = functor_induced(FunctorSpec(source=src, target=src, object_map={"1": "a", "a": "a"}))
+    assert report.heap.ok and report.truss_checked
+    assert not report.truss_ok
+    assert report.truss_witness == ("unit", "1")
+
+
+def test_compare_projection_names_a_split_relation_outside_the_full_lattice():
+    s = CategorySpec(objects=("0", "a", "b", "c"), zero="0", sums={("a", "b"): "c"})
+    split, full = split_presentation(s), k0_presentation(s)
+    assert full.relations == ()
+    report = compare_projection(split, full)
+    assert (report.contained, report.equal) == (False, False)
+    assert report.classification == "not-contained"
+    assert report.witness == split.relations[0]
 
 
 def test_truss_table_requires_products():

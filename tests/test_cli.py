@@ -350,6 +350,48 @@ def test_map_file_lines_end_at_lf_crlf_or_cr_only(tmp_path, capsys):
     assert "heap-morphism true" in capsys.readouterr().out
 
 
+def test_map_file_that_repeats_a_source_names_its_line(tmp_path, capsys):
+    src = tmp_path / "a.cat"
+    src.write_text("object A\nobject B\n")
+    mapfile = tmp_path / "dup.map"
+    mapfile.write_text("A => A\nB => B\n# again\nA => B\n")
+    assert run_cli(["morphism", str(src), str(src), str(mapfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {mapfile}:4: duplicate mapping for 'A'\n"
+
+
+def test_morphism_prints_the_truss_witness_of_a_unit_sent_off_the_target_unit(tmp_path, capsys):
+    spec = tmp_path / "unit.cat"
+    spec.write_text("object 1\nobject a\nunit 1\nproduct a * a = a\n")
+    mapfile = tmp_path / "collapse.map"
+    mapfile.write_text("1 => a\na => a\n")
+    assert run_cli(["morphism", str(spec), str(spec), str(mapfile)]) == 1
+    assert capsys.readouterr().out == "heap-morphism true\ntruss-morphism false\ntruss-witness unit 1\n"
+
+
+def test_missing_spec_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "absent.cat"
+    assert run_cli(["present", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ") and captured.err.count("\n") == 1
+
+
+def test_demo_bound_that_is_not_an_integer_is_input_error(capsys):
+    assert run_cli(["demo", "set", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: demo set: bound must be an integer, got 'x'\n"
+
+
+def test_group_prints_the_torsion_of_a_relation_that_doubles_a_generator(tmp_path, capsys):
+    spec = tmp_path / "torsion2.cat"
+    spec.write_text("object e\nobject a\npushout e -> a [mono], e -> a [mono] => e\n")
+    assert run_cli(["group", str(spec), "--base", "e"]) == 0
+    assert capsys.readouterr().out == "base e\nrank 0\ntorsion 2\nclass e 0\nclass a 1\n"
+
+
 def test_usage_error_exit_code():
     assert run_cli([]) == 2
     assert run_cli(["not-a-command"]) == 2

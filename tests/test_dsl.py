@@ -17,7 +17,7 @@ from k0heap.dsl import (
 )
 from k0heap.heaps import RESERVED_LABEL_CHARS, check_label
 from k0heap.instances import finite_sets_spec, swindle_spec, vect_spec
-from oracles import parse_spec_by_columns
+from oracles import parse_bracket_word_by_chars, parse_spec_by_columns
 
 EXPECT = re.compile(r"#\s*expect:\s*(error|warning)\s+(\d+)\s+(\d+)\s+(.*)")
 
@@ -172,6 +172,65 @@ def test_bracket_word_errors_carry_columns():
         parse_bracket_word("")
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("[a,]", "column 4: expected a label, got ']'"),
+        ("[a b]", "column 4: expected ',' or ']', got 'b'"),
+        ("[a [b]", "column 4: expected ',' or ']', got '['"),
+        ("[a,b,c]]", "column 8: unexpected trailing input ']'"),
+        ("a \x85 ]x", "column 5: unexpected trailing input ']x'"),
+        ("[a, ", "column 5: unexpected end of input"),
+        ("[a,b", "column 1: unclosed bracket"),
+        ("[a,[b]", "column 1: unclosed bracket"),
+    ],
+)
+def test_bracket_word_rejects_name_their_column(word, message):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_bracket_word(word)
+    assert str(exc.value) == message
+
+
+# Bracket words are read as regex tokens; the reader they replaced scanned one
+# character at a time.  Both must give the same tree, or the same message at
+# the same column.  The alphabet mixes whitespace other than ' ' and '\t'
+# (\x0c, \x1c, \x85, \u2028, \xa0) with \u200b, which str.isspace() rejects.
+
+WORD_SPACES = ("", " ", "\t", "\x0c", "\x1c", "\x85", "\u2028", "\xa0")
+WORD_PIECES = ("[", "]", ",", "a", "bc", "\u200b", "x:y", "ω") + WORD_SPACES[1:]
+WORD_TREES = st.recursive(
+    st.sampled_from(("a", "bc", "\u200b", "ω")),
+    lambda children: st.lists(children, max_size=5),
+    max_leaves=12,
+)
+
+
+@st.composite
+def spaced_words(draw):
+    """A tree of any arity, printed with a space (or none) drawn before every token and after the last."""
+    tokens = re.findall(r"[\[\],]|[^\[\],]+", bracket_text(draw(WORD_TREES)))
+    return "".join(draw(st.sampled_from(WORD_SPACES)) + tok for tok in tokens) + draw(st.sampled_from(WORD_SPACES))
+
+
+def word_outcome(parse, text):
+    try:
+        return parse(text)
+    except WordSyntaxError as exc:
+        return str(exc), exc.column
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    st.one_of(
+        spaced_words(),
+        st.lists(st.sampled_from(WORD_PIECES), max_size=16).map("".join),
+        st.text(alphabet="".join(WORD_PIECES), max_size=24),
+    )
+)
+def test_bracket_words_read_as_the_character_walker_reads_them(text):
+    assert word_outcome(parse_bracket_word, text) == word_outcome(parse_bracket_word_by_chars, text)
+
+
 def label_message(token):
     with pytest.raises(ValueError) as exc:
         check_label(token)
@@ -299,6 +358,24 @@ def test_corpus_and_generated_specs_parse_as_the_column_parser_parses_them(data_
     for n in range(1, 9):
         for generate in (finite_sets_spec, vect_spec, swindle_spec):
             assert_parses_like_the_column_parser(print_spec(generate(n)))
+
+
+# A repeated apex that differs from the first is reported only once the arrow
+# after it is read: a missing or wrong arrow is the first problem of its line.
+@pytest.mark.parametrize(
+    "line, column, message",
+    [
+        ("pushout a -> b [mono], b => c => d", 26, "expected '->', got '=>'"),
+        ("pushout a -> b [mono], b", 25, "expected '->'"),
+        ("pushout a -> b [mono], b -> c => d", 24, "apex mismatch: 'b' does not repeat 'a'"),
+        ("pushout a -> b [mono] [mono], a -> c => d", 23, "expected ',', got '[mono]'"),
+    ],
+)
+def test_pushout_walk_reports_the_first_problem_of_its_line(line, column, message):
+    result = parse_text(DECLARED + line + "\n")
+    assert result.spec is None
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [(5, column, message)]
+    assert_parses_like_the_column_parser(DECLARED + line + "\n")
 
 
 # A pushout line whose five labels are all declared and which has a [mono] leg
