@@ -12,14 +12,14 @@ first use, so a program that never touches a heap model never compiles
 from importlib import import_module
 
 _LAYERS = {
-    "category": ("CategorySpec", "FunctorSpec", "PushoutEntry", "compare_projection", "functor_induced", "k0_group",
-                 "k0_presentation", "split_presentation", "validate_spec"),
+    "category": ("CategorySpec", "FunctorSpec", "PushoutEntry", "functor_induced", "k0_group", "k0_presentation",
+                 "split_presentation", "validate_spec"),
     "heaps": ("FiniteHeapModel", "FreeHeapWord", "GroupModel", "check_heap_morphism", "heap_from_group",
               "nary_product", "reduce_word", "retract_group", "ternary"),
     "lattice": ("IntMatrix", "InvariantFactors", "hnf", "snf"),
     "presentation": ("AbelianHeapPresentation", "AffineWord", "RelationVector", "TrussTable", "bracket",
-                     "induced_morphism", "normalize_affine", "retract_group_structure", "truss_from_table",
-                     "word_equal"),
+                     "compare_projection", "induced_morphism", "normalize_affine", "retract_group_structure",
+                     "truss_from_table", "word_equal"),
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
 

@@ -6,6 +6,9 @@ zero object, direct-sum table and product table.  Each pushout square with
 at least one monomorphic leg contributes the relation
 left - apex + right - result; squares whose relation cancels to the zero
 vector (for instance pushouts along an identity) are dropped.
+
+Every check on a presentation lives in ``presentation``; ``compare_projection``
+and ``ProjectionReport`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from .presentation import (
     AffineWord,
     GroupStructure,
     MorphismReport,
+    ProjectionReport,
     RelationVector,
     TrussTable,
-    _relation_lattice,
+    compare_projection,
     induced_morphism,
     retract_group_structure,
 )
@@ -95,11 +99,12 @@ class FunctorSpec(Frozen):
         object.__setattr__(self, "object_map", MappingProxyType(dict(object_map or {})))
 
 
-def zero_law_violations(zero: str | None, sums: Mapping) -> list[tuple[str, str, str]]:
-    """The sum entries (a, b, c) that break 0 + b = b or a + 0 = a, in table order."""
+def zero_law_violations(zero: str | None, sums: Mapping) -> list[tuple[tuple[str, str], str]]:
+    """Each sum entry a + b = c that breaks 0 + b = b or a + 0 = a, as ((a, b), its message), in table order."""
     if zero is None:
         return []
-    return [(a, b, c) for (a, b), c in sums.items() if a == zero and c != b or b == zero and c != a]
+    return [((a, b), f"sum {a} + {b} = {c} breaks the zero-object law")
+            for (a, b), c in sums.items() if a == zero and c != b or b == zero and c != a]
 
 
 def validate_spec(s: CategorySpec) -> list[SpecIssue]:
@@ -134,8 +139,7 @@ def validate_spec(s: CategorySpec) -> list[SpecIssue]:
     for (a, b), c in (s.sums or {}).items():
         for label in (a, b, c):
             known(label, "sum entry")
-    for a, b, c in zero_law_violations(s.zero, s.sums or {}):
-        issues.append(SpecIssue("error", f"sum {a} + {b} = {c} breaks the zero-object law"))
+    issues += [SpecIssue("error", message) for _, message in zero_law_violations(s.zero, s.sums or {})]
     for (a, b), c in (s.products or {}).items():
         for label in (a, b, c):
             known(label, "product entry")
@@ -196,37 +200,6 @@ def split_presentation(s: CategorySpec) -> AbelianHeapPresentation:
     return _presentation(s.objects, ((a, s.zero, b, c) for (a, b), c in sorted(s.sums.items())))
 
 
-class ProjectionReport(NamedTuple):
-    """Comparison of the split relation lattice against the full one."""
-
-    contained: bool
-    equal: bool
-    witness: RelationVector | None = None
-
-    @property
-    def classification(self) -> str:
-        if not self.contained:
-            return "not-contained"
-        return "isomorphism" if self.equal else "proper-projection"
-
-
-def compare_projection(
-    split: AbelianHeapPresentation, full: AbelianHeapPresentation
-) -> ProjectionReport:
-    """Containment of split's lattice in full's, then equality, witnessed by the first relation outside."""
-    if split.generators != full.generators:
-        raise ValueError("presentations must share the same generator tuple")
-    full_basis, in_full = _relation_lattice(full)
-    for rel in split.relations:
-        if any(in_full._coordinates(rel.terms, in_full._index)):
-            return ProjectionReport(contained=False, equal=False, witness=rel)
-    split_basis, in_split = _relation_lattice(split)
-    if split_basis == full_basis:  # a lattice has one Hermite basis: no full relation needs a test
-        return ProjectionReport(contained=True, equal=True)
-    witness = next(rel for rel in full.relations if any(in_split._coordinates(rel.terms, in_split._index)))
-    return ProjectionReport(contained=True, equal=False, witness=witness)
-
-
 def truss_table(s: CategorySpec) -> TrussTable:
     """Lift the object-level product table to single-generator affine words."""
     if s.products is None:
@@ -253,8 +226,7 @@ def functor_induced(f: FunctorSpec) -> FunctorReport:
     correspond; source pairs whose image pair is missing from the target
     table are reported as omitted.
     """
-    ensure_valid(f.source)
-    ensure_valid(f.target)
+    src, dst = k0_presentation(f.source), k0_presentation(f.target)  # each spec validated once, first
     targets = set(f.target.objects)
     for o in f.source.objects:
         if o not in f.object_map:
@@ -262,7 +234,7 @@ def functor_induced(f: FunctorSpec) -> FunctorReport:
         if f.object_map[o] not in targets:
             raise ValueError(f"object map sends {o!r} outside the target objects")
     genmap = {o: AffineWord.generator(f.object_map[o]) for o in f.source.objects}
-    heap = induced_morphism(k0_presentation(f.source), k0_presentation(f.target), genmap)
+    heap = induced_morphism(src, dst, genmap)
 
     checked = f.source.products is not None and f.target.products is not None
     if not checked:

@@ -211,9 +211,7 @@ def cmd_snf(args) -> int:
             raise CliError(f"stdin:{lineno}: invariant factors could have more than {limit} digits", 2)
         if len(rows[0]) ** 2 * digits > _SNF_WORK:
             raise CliError(f"stdin:{lineno}: too large to reduce: columns^2 x factor digits passes {_SNF_WORK}", 2)
-    factors = snf(IntMatrix.from_rows(rows))
-    torsion = " ".join(str(d) for d in factors.torsion) if factors.torsion else "none"
-    _emit(args, "snf", [f"rank {factors.rank}", f"torsion {torsion}"])
+    _emit(args, "snf", snf(IntMatrix.from_rows(rows)).report_lines())
     return 0
 
 

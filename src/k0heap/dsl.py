@@ -259,9 +259,8 @@ class _Parser:
             if label not in self.declared:
                 self.diagnostics.append(Diagnostic("error", lineno, col, f"unknown object {label!r}"))
         if self.zero is not None and self.zero in self.declared:
-            for a, b, c in zero_law_violations(self.zero, self.sums):
-                lineno, code = self.sum_lines[(a, b)]
-                message = f"sum {a} + {b} = {c} breaks the zero-object law"
+            for pair, message in zero_law_violations(self.zero, self.sums):
+                lineno, code = self.sum_lines[pair]
                 self.diagnostics.append(Diagnostic("error", lineno, _column(code, 0), message))
 
 

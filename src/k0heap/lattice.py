@@ -10,8 +10,8 @@ Hermite form kept as {pivot column: sparse row}.  A presentation's basis
 inserts its relations (see ``presentation``), ``hnf`` the rows of [M | I],
 whose Hermite form is [H | U].  ``residue``, its reduce step, touches only
 the vector's own terms and the rows that clear them.  The Smith
-elimination pivots on a least nonzero entry against entry growth, and
-``smith_decomposition`` builds its row transform on first read.
+elimination pivots on a least nonzero entry against entry growth and visits
+every row from t on at step t; its row transform is built on first read.
 
 Matrices are immutable values; every function returns fresh objects.
 """
@@ -83,6 +83,9 @@ class InvariantFactors(Frozen):
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
+    def report_lines(self) -> list[str]:
+        return [f"rank {self.rank}", "torsion " + (" ".join(map(str, self.torsion)) or "none")]
+
 
 class SmithDecomposition(Frozen):
     """``left @ matrix @ right`` is diagonal with the given diagonal entries.
@@ -107,8 +110,10 @@ class SmithDecomposition(Frozen):
         return IntMatrix.from_rows(u, cols=m.rows)
 
     @property
-    def pivot_count(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
+    def invariants(self) -> InvariantFactors:
+        """Rank and torsion of the cokernel: a free factor per column past the nonzero diagonal, one per d > 1."""
+        rank = self.right.cols - sum(1 for d in self.diagonal if d)
+        return InvariantFactors(rank=rank, torsion=tuple(d for d in self.diagonal if d > 1))
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -211,17 +216,14 @@ def _smith_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -
     Every choice depends on ``a`` alone, so empty rows in ``u`` make each
     mirrored row operation free without changing ``a`` or ``v``.  The pivot
     is the first entry of least absolute value in (row, column) order.  At
-    step t every row and column before t is zero off the diagonal, so row
-    operations on ``a`` touch the pivot row's support from t on, column
-    operations touch only row t of ``a`` once column t is clear, and step t
-    visits only the ``live`` rows: t and the rows after it that were nonzero
-    when the step began, in order.  A zero row is never chosen, subtracted
-    from or divided into, so skipping it changes no choice.
+    step t every row and column before t is zero off the diagonal, so step t
+    visits the rows from t on, row operations on ``a`` touch the pivot row's
+    support from t on, and column operations touch only row t of ``a`` once
+    column t is clear; a zero row is never chosen or changed.
     """
     rows, cols = len(a), len(v)
-    live = [i for i in range(rows) if any(a[i])]
     for t in range(min(rows, cols)):
-        nonzero = ((abs(a[i][j]), i, j) for i in live for j in range(t, cols) if a[i][j])
+        nonzero = ((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j])
         least = next(nonzero, None)
         if least is None:
             break
@@ -234,18 +236,16 @@ def _smith_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
             u[t], u[i0] = u[i0], u[t]
-            if live[0] != t:  # row t was zero and now sits at i0
-                live = [t] + [i for i in live if i != i0]
         if j0 != t:
-            for row in [a[i] for i in live] + v:
+            for row in a[t:] + v:
                 row[j0], row[t] = row[t], row[j0]
         while True:
             # clear column t with row operations
             pivot, p, col_nz = a[t], a[t][t], []
             support = [j for j in range(t, cols) if pivot[j]]
-            for i in live:
+            for i in range(t + 1, rows):
                 row = a[i]
-                if row[t] and i != t:
+                if row[t]:
                     q = row[t] // p
                     if q:
                         for j in support:
@@ -268,13 +268,13 @@ def _smith_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -
             row_nz = [j for j in range(t + 1, cols) if pivot[j]]
             if row_nz:
                 j = min(row_nz, key=lambda j: abs(pivot[j]))
-                for row in [a[i] for i in live] + v:
+                for row in a[t:] + v:
                     row[j], row[t] = row[t], row[j]
                 continue
             # pivot must divide the remaining submatrix for the chain property
             if abs(p) == 1:
                 break
-            bad = next((i for i in live[1:] for j in range(t + 1, cols) if a[i][j] % p), None)
+            bad = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p), None)
             if bad is None:
                 break
             _row_sub(pivot, a[bad], -1)
@@ -282,7 +282,6 @@ def _smith_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
-        live = [i for i in live[1:] if any(a[i])]
 
 
 def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
@@ -302,6 +301,4 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
 
 def snf(m: IntMatrix) -> InvariantFactors:
     """Invariant factors of the cokernel Z^cols / rowspan(m)."""
-    dec = smith_decomposition(m)
-    r = dec.pivot_count
-    return InvariantFactors(rank=m.cols - r, torsion=tuple(d for d in dec.diagonal if d > 1))
+    return smith_decomposition(m).invariants

@@ -14,9 +14,9 @@ the relation's own terms against the basis's sparse pivot rows and keeps
 the basis reduced; no row is densified until the basis is read out.  That
 basis and the kernel are kept in a fixed-size module-level ``lru_cache``
 keyed by the presentation's value, so each lookup hashes the whole
-presentation.  A check (truss, projection, morphism) makes one lookup per
-presentation, ``word_equal`` one per query.  A check takes each word's
-class once and tests a relation by the weighted sum of its terms' classes.
+presentation.  The checks (truss, projection, morphism) live here; each
+makes one lookup per presentation, ``word_equal`` one per query, takes each
+word's class once and tests a relation by the weighted sum of its terms' classes.
 """
 
 from __future__ import annotations
@@ -217,20 +217,17 @@ class GroupStructure(Frozen):
             acc = [a + c * x for a, x in zip(acc, image)]
         return tuple(a % d if d else a for a, d in zip(acc, self._moduli))
 
+    def _first_outside(self, relations: Iterable[RelationVector], images: Mapping) -> RelationVector | None:
+        """The first relation whose terms' classes, read from ``images``, do not sum to 0, else None."""
+        return next((rel for rel in relations if any(self._coordinates(rel.terms, images))), None)
+
     def class_coordinates(self, w: AffineWord) -> tuple[int, ...]:
         return self._coordinates(w.terms, self._index)
 
     def report_lines(self) -> list[str]:
-        lines = [f"base {self.base}", f"rank {self.invariants.rank}"]
-        if self.invariants.torsion:
-            lines.append("torsion " + " ".join(str(d) for d in self.invariants.torsion))
-        else:
-            lines.append("torsion none")
-        for g in self.generators:
-            coords = self.class_coordinates(AffineWord.generator(g))
-            suffix = (" " + " ".join(str(c) for c in coords)) if coords else ""
-            lines.append(f"class {g}{suffix}")
-        return lines
+        word = AffineWord.generator
+        classes = [" ".join(["class", g, *map(str, self.class_coordinates(word(g)))]) for g in self.generators]
+        return [f"base {self.base}", *self.invariants.report_lines(), *classes]
 
 
 def _structure(generators: tuple[str, ...], basis: IntMatrix, base: str) -> GroupStructure:
@@ -245,14 +242,12 @@ def _structure(generators: tuple[str, ...], basis: IntMatrix, base: str) -> Grou
     k, n = generators.index(base), len(generators) - 1
     rows = [row[:k] + row[k + 1:] for row in basis.to_rows()]
     dec = smith_decomposition(hnf(IntMatrix.from_rows(rows, cols=n))[0])
-    r = dec.pivot_count
-    torsion = [j for j in range(r) if dec.diagonal[j] > 1]
-    columns = list(range(r, n)) + torsion
-    moduli = (0,) * (n - r) + tuple(dec.diagonal[j] for j in torsion)
+    invariants = dec.invariants
+    r = n - invariants.rank  # the nonzero diagonal entries come first
+    columns = list(range(r, n)) + [j for j in range(r) if dec.diagonal[j] > 1]
     images = [tuple(row[j] for j in columns) for row in map(dec.right.row, range(n))]
     images.insert(k, (0,) * len(columns))
-    invariants = InvariantFactors(rank=n - r, torsion=moduli[n - r:])
-    return GroupStructure(generators, base, invariants, tuple(images), moduli)
+    return GroupStructure(generators, base, invariants, tuple(images), (0,) * invariants.rank + invariants.torsion)
 
 
 def retract_group_structure(p: AbelianHeapPresentation, base: str) -> GroupStructure:
@@ -299,11 +294,40 @@ def induced_morphism(
         if g not in genmap:
             raise ValueError(f"generator map is not total: missing {g!r}")
         classes[g] = kernel._coordinates(genmap[g].terms, kernel._index)
-    for rel in src.relations:
-        if any(kernel._coordinates(rel.terms, classes)):
-            return MorphismReport(ok=False, witness=rel)
+    witness = kernel._first_outside(src.relations, classes)
+    if witness is not None:
+        return MorphismReport(ok=False, witness=witness)
     images = {g: genmap[g] for g in src.generators}
     return MorphismReport(ok=True, morphism=PresentationMorphism(source=src, target=dst, images=images))
+
+
+class ProjectionReport(NamedTuple):
+    """Comparison of the split relation lattice against the full one."""
+
+    contained: bool
+    equal: bool
+    witness: RelationVector | None = None
+
+    @property
+    def classification(self) -> str:
+        if not self.contained:
+            return "not-contained"
+        return "isomorphism" if self.equal else "proper-projection"
+
+
+def compare_projection(split: AbelianHeapPresentation, full: AbelianHeapPresentation) -> ProjectionReport:
+    """Containment of split's lattice in full's, then equality, witnessed by the first relation outside."""
+    if split.generators != full.generators:
+        raise ValueError("presentations must share the same generator tuple")
+    full_basis, in_full = _relation_lattice(full)
+    witness = in_full._first_outside(split.relations, in_full._index)
+    if witness is not None:
+        return ProjectionReport(contained=False, equal=False, witness=witness)
+    split_basis, in_split = _relation_lattice(split)
+    if split_basis == full_basis:  # a lattice has one Hermite basis: no full relation needs a test
+        return ProjectionReport(contained=True, equal=True)
+    witness = in_split._first_outside(full.relations, in_split._index)
+    return ProjectionReport(contained=True, equal=False, witness=witness)
 
 
 class TrussTable(Frozen):

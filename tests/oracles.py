@@ -756,9 +756,9 @@ class ColumnTokenParser:
             if label not in self.declared:
                 self.error(lineno, col, f"unknown object {label!r}")
         if self.zero is not None and self.zero[0] in self.declared:
-            for a, b, c in zero_law_violations(self.zero[0], self.sums):
+            for (a, b), _ in zero_law_violations(self.zero[0], self.sums):
                 line, col = self.sum_positions[(a, b)]
-                self.error(line, col, f"sum {a} + {b} = {c} breaks the zero-object law")
+                self.error(line, col, f"sum {a} + {b} = {self.sums[(a, b)]} breaks the zero-object law")
 
 
 def parse_spec_by_columns(src):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k0heap import lattice
+from k0heap import category, lattice
 from k0heap.category import (
     CategorySpec,
     FunctorSpec,
     InvalidSpecError,
     PushoutEntry,
+    SpecIssue,
     compare_projection,
     ensure_valid,
     functor_induced,
@@ -54,6 +55,11 @@ def test_validate_reports_unknown_label():
     assert any(i.severity == "error" and "'B'" in i.message for i in issues)
     with pytest.raises(InvalidSpecError):
         ensure_valid(s)
+
+
+def test_validate_reports_a_repeated_object():
+    s = CategorySpec(objects=("A", "B", "A"))
+    assert validate_spec(s) == [SpecIssue("error", "duplicate object 'A'")]
 
 
 def test_validate_flags_missing_mono_leg():
@@ -237,6 +243,18 @@ def test_functor_partial_map_rejected():
         functor_induced(FunctorSpec(source=s, target=s, object_map={"A": "A", "B": "C"}))
 
 
+def test_functor_validates_each_spec_once_and_before_its_object_map(monkeypatch):
+    bad = CategorySpec(objects=("A",), pushouts=(entry("A", "A", "B", "A"),))
+    with pytest.raises(InvalidSpecError) as exc:  # the object map is not total either
+        functor_induced(FunctorSpec(source=bad, target=finite_sets_spec(2), object_map={}))
+    assert str(exc.value) == "pushout entry references unknown object 'B'"
+    seen, validate = [], category.validate_spec
+    monkeypatch.setattr(category, "validate_spec", lambda s: seen.append(s) or validate(s))
+    source, target = finite_sets_spec(2), finite_sets_spec(3)
+    functor_induced(FunctorSpec(source=source, target=target, object_map={o: o for o in source.objects}))
+    assert len(seen) == 2 and seen[0] is source and seen[1] is target
+
+
 def test_functor_product_mismatch_reported():
     src = CategorySpec(objects=("1", "a"), products={("a", "a"): "a"}, unit="1")
     dst = CategorySpec(objects=("1", "a"), products={("a", "a"): "1"}, unit="1")
@@ -321,14 +339,11 @@ def test_spec_tables_are_frozen_copies():
 
 def test_zero_law_violations_lists_breaking_entries_in_table_order():
     sums = {("0", "A"): "A", ("0", "B"): "A", ("A", "B"): "B", ("B", "0"): "A", ("A", "0"): "A"}
-    assert zero_law_violations("0", sums) == [("0", "B", "A"), ("B", "0", "A")]
+    messages = ["sum 0 + B = A breaks the zero-object law", "sum B + 0 = A breaks the zero-object law"]
+    assert zero_law_violations("0", sums) == [(("0", "B"), messages[0]), (("B", "0"), messages[1])]
     assert zero_law_violations(None, sums) == []
     s = CategorySpec(objects=("0", "A", "B"), pushouts=(), zero="0", sums=sums)
-    zero_errors = [i.message for i in validate_spec(s) if "zero-object law" in i.message]
-    assert zero_errors == [
-        "sum 0 + B = A breaks the zero-object law",
-        "sum B + 0 = A breaks the zero-object law",
-    ]
+    assert [i.message for i in validate_spec(s) if "zero-object law" in i.message] == messages
 
 
 def test_class_coordinates_match_eager_smith_on_valid_corpus(data_dir):
@@ -392,8 +407,8 @@ SQUARE = st.tuples(*[st.sampled_from(POOL)] * 4, st.booleans(), st.booleans()).m
 @given(st.lists(SQUARE, max_size=12), st.dictionaries(st.tuples(*[st.sampled_from(POOL)] * 2), st.sampled_from(POOL)))
 def test_random_squares_give_the_combine_construction(entries, sums):
     # squares whose labels repeat or cancel as often as squares of four distinct labels
-    for a, b, _ in zero_law_violations("0", sums):
-        del sums[(a, b)]
+    for pair, _ in zero_law_violations("0", sums):
+        del sums[pair]
     s = CategorySpec(objects=POOL, pushouts=tuple(entries), zero="0", sums=sums)
     squares = [(e.left, e.apex, e.right, e.result) for e in entries if e.qualifies]
     assert k0_presentation(s) == presentation_by_combine(s, squares)

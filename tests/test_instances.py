@@ -45,6 +45,18 @@ def test_set_pushout_rejects_non_injective_leg():
         FiniteSetSpan(size_a=2, size_b=2, size_c=1, injection=(0, 0), attach=(0, 0))
 
 
+@pytest.mark.parametrize("sizes, injection, attach, message", [
+    ((1, -1, 1), (), (), "set sizes must be non-negative"),
+    ((2, 2, 1), (0,), (0, 0), "f and g must be total on B"),
+    ((2, 1, 1), (2,), (0,), "f must land in A"),
+    ((2, 1, 1), (0,), (1,), "g must land in C"),
+])
+def test_a_span_is_refused_with_its_message(sizes, injection, attach, message):
+    with pytest.raises(ValueError) as exc:
+        FiniteSetSpan(*sizes, injection=injection, attach=attach)
+    assert str(exc.value) == message
+
+
 def test_set_pushout_exhaustive_size_formula():
     """|A u_B C| = |A| - |B| + |C| over all spans with sizes <= 4 and f injective."""
     for a in range(5):

@@ -33,6 +33,10 @@ def test_intmatrix_shape_checked():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match=r"^matrix dimensions must be non-negative$"):
+        IntMatrix(-1, 0, ())
+    with pytest.raises(ValueError, match=r"^cols does not match row width$"):
+        IntMatrix.from_rows([[1, 2]], cols=3)
 
 
 def test_hnf_identity():
@@ -89,6 +93,8 @@ def test_invariant_factors_chain_enforced():
         InvariantFactors(rank=0, torsion=(4, 2))
     with pytest.raises(ValueError):
         InvariantFactors(rank=0, torsion=(1,))
+    with pytest.raises(ValueError, match=r"^rank must be non-negative$"):
+        InvariantFactors(rank=-1, torsion=())
 
 
 def _assert_hnf_shape(h):

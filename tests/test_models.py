@@ -61,6 +61,15 @@ def test_heap_axioms_enforced_with_witness():
     assert exc.value.witness
 
 
+def test_a_repeated_heap_label_and_an_empty_cyclic_group_are_refused():
+    with pytest.raises(HeapAxiomError) as exc:
+        FiniteHeapModel(carrier=("0", "1", "0"), ternary={})
+    assert str(exc.value) == "carrier labels must be distinct"
+    with pytest.raises(ValueError) as exc:
+        cyclic_group(0)
+    assert str(exc.value) == "cyclic group order must be >= 1"
+
+
 def test_empty_heap_allowed_but_has_no_retract():
     empty = FiniteHeapModel(carrier=(), ternary={})
     with pytest.raises(ValueError):
@@ -673,12 +682,17 @@ def shuffled_groups(draw):
 
 @st.composite
 def perturbed_groups(draw):
-    """One entry changed: a product, an inverse (to a label, an outsider or nothing), or the identity."""
+    """One entry changed: a product, an inverse (to a label, an outsider or nothing), the identity (to a label
+    or an outsider), or the carrier (a label repeated, or none left)."""
     carrier, op, identity, inverse = draw(shuffled_groups())
     op, inverse = dict(op), dict(inverse)
-    kind = draw(st.sampled_from(["op", "inverse", "identity"]))
+    kind = draw(st.sampled_from(["op", "inverse", "identity", "repeat", "empty"]))
     if kind == "identity":
-        return carrier, op, draw(st.sampled_from(carrier)), inverse
+        return carrier, op, draw(st.sampled_from(carrier + ("?",))), inverse
+    if kind == "repeat":
+        return carrier + (draw(st.sampled_from(carrier)),), op, identity, inverse
+    if kind == "empty":
+        return (), op, identity, inverse
     table = op if kind == "op" else inverse
     key = draw(st.sampled_from(sorted(table)))
     value = draw(st.sampled_from(carrier + ("?", None)))

@@ -115,6 +115,12 @@ def test_presentation_rejects_unknown_support():
         AbelianHeapPresentation(generators=(), relations=())
 
 
+def test_presentation_rejects_repeated_generators():
+    with pytest.raises(ValueError) as exc:
+        AbelianHeapPresentation(generators=("x", "y", "x"), relations=())
+    assert str(exc.value) == "generators must be distinct"
+
+
 def test_unknown_generator_message_is_shared():
     with pytest.raises(UnknownGeneratorError, match=r"^unknown generator 'y'$"):
         AbelianHeapPresentation(generators=("x",), relations=(rel(y=1, x=-1),))
