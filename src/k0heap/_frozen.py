@@ -1,12 +1,15 @@
 """The base of every layer: the package's immutable values and its label rule.
 
-A subclass of ``Frozen`` names its fields in ``__slots__`` and sets each one
-once, in its own ``__init__``, with ``object.__setattr__``.  After that no
-attribute can be assigned, deleted or added.  Values compare equal when their
-classes are the same and their fields are equal in order; the hash is that of
-the fields (so a value holding a read-only table is unhashable), and the repr
-names them.  ``_assembled`` builds a value from fields known to be valid
-through the class's slot setters, which are looked up once per class.
+A subclass of ``Frozen`` names its fields in ``__slots__``, and its
+``__init__`` ends in one ``_fill`` call: the one writer, which sets the
+fields in slot order through the class's slot setters (looked up once per
+class) and puts any private index in the instance ``__dict__``.  The heap
+models fill twice, with the caller's tables and then with read-only views
+over the tables ``__post_init__`` validated.  After that no attribute can be
+assigned, deleted or added.  Values compare equal when their classes are the
+same and their fields are equal in order; the hash is that of the fields (so
+a value holding a read-only table is unhashable), and the repr names them.
+``_assembled`` fills a bare instance with fields known to be valid.
 
 ``check_label`` is the one rule for generator and object labels, and
 ``bracket_letters`` the one walk that flattens a bracket tree; every layer
@@ -70,6 +73,13 @@ class Frozen:
             cls._key = attrgetter(*cls._fields)
             cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
+    def _fill(self, *fields, **private):
+        """Set every field, in ``_fields`` order, and put ``private`` in the instance ``__dict__``."""
+        for put, field in zip(self._setters, fields, strict=True):
+            put(self, field)
+        if private:
+            vars(self).update(private)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
 
@@ -98,8 +108,5 @@ class Frozen:
 def _assembled(cls, *fields, **private):
     """A ``cls`` value from fields known to be valid, ``private`` going to its ``__dict__``: no validation runs."""
     value = object.__new__(cls)
-    for put, field in zip(cls._setters, fields):
-        put(value, field)
-    if private:
-        vars(value).update(private)
+    value._fill(*fields, **private)
     return value

@@ -68,12 +68,8 @@ class CategorySpec(Frozen):
 
     def __init__(self, objects: tuple[str, ...], pushouts: tuple[PushoutEntry, ...] = (), zero: str | None = None,
                  sums: Mapping | None = None, products: Mapping | None = None, unit: str | None = None):
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "pushouts", pushouts)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "sums", None if sums is None else MappingProxyType(dict(sums)))
-        object.__setattr__(self, "products", None if products is None else MappingProxyType(dict(products)))
-        object.__setattr__(self, "unit", unit)
+        sums, products = (None if t is None else MappingProxyType(dict(t)) for t in (sums, products))
+        self._fill(objects, pushouts, zero, sums, products, unit)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CategorySpec):
@@ -94,9 +90,7 @@ class FunctorSpec(Frozen):
     __slots__ = ("source", "target", "object_map")
 
     def __init__(self, source: CategorySpec, target: CategorySpec, object_map: Mapping | None = None):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "object_map", MappingProxyType(dict(object_map or {})))
+        self._fill(source, target, MappingProxyType(dict(object_map or {})))
 
 
 def zero_law_violations(zero: str | None, sums: Mapping) -> list[tuple[tuple[str, str], str]]:

@@ -26,6 +26,7 @@ from .dsl import (
     parse_bracket_word,
     parse_spec,
     print_spec,
+    split_lines,
 )
 
 # each command loads the layers it runs: ``reduce`` loads heaps, and none of category, presentation and lattice
@@ -41,10 +42,15 @@ class CliError(Exception):
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2)
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:  # positioned as the parser's diagnostics are: its line, 1-based characters
+        lines = split_lines(data[:exc.start].decode())
+        raise CliError(f"{path}:{len(lines)}:{len(lines[-1]) + 1}: byte {data[exc.start]:#04x} is not UTF-8", 2)
 
 
 def _load_spec(path: str):
@@ -247,66 +253,41 @@ def cmd_demo(args) -> int:
     return 0
 
 
+# one row per subcommand: name, handler, help, and each (argument name or flag, argparse options) pair in order
+_COMMANDS = (
+    ("present", cmd_present, "print the heap presentation of a spec", [("file", {})]),
+    ("group", cmd_group, "rank, torsion and class coordinates",
+     [("file", {}), ("--base", dict(required=True, help="basepoint object label"))]),
+    ("equal", cmd_equal, "decide equality of two bracket words", [("file", {}), ("word1", {}), ("word2", {})]),
+    ("truss-check", cmd_truss_check, "validate the product table (ideal property)", [("file", {})]),
+    ("project", cmd_project, "compare split and full presentations", [("file", {})]),
+    ("morphism", cmd_morphism, "check a functor-induced morphism",
+     [("source", {}), ("target", {}), ("mapfile", dict(help="lines of the form 'SRC => DST'"))]),
+    ("reduce", cmd_reduce, "normal form of a free heap word", [("word", {})]),
+    ("snf", cmd_snf, "Smith normal form of a matrix read from stdin", []),
+    ("demo", cmd_demo, "built-in instance generators", [
+        ("kind", dict(choices=("set", "vect", "swindle", "cw", "zmod"))),
+        ("arg", dict(nargs="?", help="bound N for set/vect/swindle, cell-count file for cw")),
+        ("--convention", dict(choices=CW_CONVENTIONS, default="same-index",
+                              help="sphere index paired with each disk in CW words")),
+    ]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k0heap",
         description="Heap presentations, retract groups and truss checks for finite category specs.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("human", "structured"),
-        default="human",
-        help="structured emits a stable machine-readable key/value document",
-    )
+    common.add_argument("--format", choices=("human", "structured"), default="human",
+                        help="structured emits a stable machine-readable key/value document")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("present", parents=[common], help="print the heap presentation of a spec")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_present)
-
-    p = sub.add_parser("group", parents=[common], help="rank, torsion and class coordinates")
-    p.add_argument("file")
-    p.add_argument("--base", required=True, help="basepoint object label")
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("equal", parents=[common], help="decide equality of two bracket words")
-    p.add_argument("file")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(func=cmd_equal)
-
-    p = sub.add_parser("truss-check", parents=[common], help="validate the product table (ideal property)")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_truss_check)
-
-    p = sub.add_parser("project", parents=[common], help="compare split and full presentations")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("morphism", parents=[common], help="check a functor-induced morphism")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("mapfile", help="lines of the form 'SRC => DST'")
-    p.set_defaults(func=cmd_morphism)
-
-    p = sub.add_parser("reduce", parents=[common], help="normal form of a free heap word")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("snf", parents=[common], help="Smith normal form of a matrix read from stdin")
-    p.set_defaults(func=cmd_snf)
-
-    p = sub.add_parser("demo", parents=[common], help="built-in instance generators")
-    p.add_argument("kind", choices=("set", "vect", "swindle", "cw", "zmod"))
-    p.add_argument("arg", nargs="?", help="bound N for set/vect/swindle, cell-count file for cw")
-    p.add_argument(
-        "--convention",
-        choices=CW_CONVENTIONS,
-        default="same-index",
-        help="sphere index paired with each disk in CW words",
-    )
-    p.set_defaults(func=cmd_demo)
+    for name, func, help_text, arguments in _COMMANDS:
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 

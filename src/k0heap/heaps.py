@@ -61,7 +61,7 @@ class FreeHeapWord(Frozen):
             raise ValueError(f"heap words must have odd length, got {len(letters)}")
         for name in letters:
             check_label(name)
-        object.__setattr__(self, "letters", letters)
+        self._fill(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -133,10 +133,7 @@ class GroupModel(Frozen):
     __slots__ = ("carrier", "op", "identity", "inverse", "__dict__")
 
     def __init__(self, carrier: tuple[str, ...], op: Mapping, identity: str, inverse: Mapping):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", inverse)
+        self._fill(carrier, op, identity, inverse)
         self.__post_init__()
 
     def __post_init__(self):
@@ -159,9 +156,7 @@ class GroupModel(Frozen):
                 raise GroupAxiomError(f"{name} table has a stray entry at {_stray(given, index, arity)!r}")
         table = [flat[a * n:a * n + n] for a in range(n)]
         tables = (index, table, inv, _check_group(elems, table, inv, index[self.identity]))
-        object.__setattr__(self, "op", _IndexView(2, elems, tables))
-        object.__setattr__(self, "inverse", _IndexView(1, elems, tables))
-        vars(self)["_tables"] = tables
+        self._fill(elems, _IndexView(2, elems, tables), self.identity, _IndexView(1, elems, tables), _tables=tables)
 
 
 def _read(table, elems, index, arity) -> list[int]:
@@ -219,16 +214,14 @@ class FiniteHeapModel(Frozen):
     __slots__ = ("carrier", "ternary", "__dict__")
 
     def __init__(self, carrier: tuple[str, ...], ternary: Mapping):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "ternary", ternary)
+        self._fill(carrier, ternary)
         self.__post_init__()
 
     def __post_init__(self):
         checked = _checked_heap(self.carrier, self.ternary)
         if isinstance(checked, HeapAxiomError):
             raise checked
-        object.__setattr__(self, "ternary", _IndexView(3, self.carrier, checked))
-        vars(self)["_tables"] = checked
+        self._fill(self.carrier, _IndexView(3, self.carrier, checked), _tables=checked)
 
     def __reduce__(self):  # as its group, n^2 + n entries, not n^3; the empty heap has no group and travels as {}
         t = self.ternary  # the view's fields only: a copy may have dropped ``_tables``

@@ -67,11 +67,7 @@ class FiniteSetSpan(Frozen):
             raise ValueError("g must land in C")
         if len(set(injection)) != size_b:
             raise ValueError("f must be injective (the monomorphic leg)")
-        object.__setattr__(self, "size_a", size_a)
-        object.__setattr__(self, "size_b", size_b)
-        object.__setattr__(self, "size_c", size_c)
-        object.__setattr__(self, "injection", injection)
-        object.__setattr__(self, "attach", attach)
+        self._fill(size_a, size_b, size_c, injection, attach)
 
 
 class SetPushoutResult(NamedTuple):
@@ -216,7 +212,7 @@ class CWComplexSpec(Frozen):
             raise ValueError("cell counts must be non-negative")
         if sum(cell_counts) > MAX_CELLS:
             raise ValueError(f"at most {MAX_CELLS} cells in total, got {sum(cell_counts)}")
-        object.__setattr__(self, "cell_counts", cell_counts)
+        self._fill(cell_counts)
 
     @property
     def dimension(self) -> int:

@@ -34,9 +34,7 @@ class IntMatrix(Frozen):
             raise ValueError("matrix dimensions must be non-negative")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        self._fill(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -76,8 +74,7 @@ class InvariantFactors(Frozen):
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain: {a} does not divide {b}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
+        self._fill(rank, torsion)
 
     @property
     def is_trivial(self) -> bool:
@@ -98,9 +95,7 @@ class SmithDecomposition(Frozen):
     __slots__ = ("diagonal", "right", "_matrix", "__dict__")
 
     def __init__(self, diagonal: tuple[int, ...], right: IntMatrix, _matrix: IntMatrix):
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_matrix", _matrix)
+        self._fill(diagonal, right, _matrix)
 
     @cached_property
     def left(self) -> IntMatrix:

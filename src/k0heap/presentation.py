@@ -56,7 +56,7 @@ class _SparseTerms(Frozen):
         total = sum(c for _, c in terms)
         if total != self._total:
             raise ValueError(f"{self._noun} coefficients must sum to {self._total}, got {total}")
-        object.__setattr__(self, "terms", terms)
+        self._fill(terms)
 
     def __hash__(self):  # hashing a presentation hashes every relation: keep this call lean
         return hash(self.terms)
@@ -145,8 +145,7 @@ class AbelianHeapPresentation(Frozen):
             check_label(g)
         for r in relations:
             check_support(known, r)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
+        self._fill(generators, relations)
 
 
 def check_support(generators: tuple[str, ...] | frozenset[str], w: AffineWord | RelationVector) -> None:
@@ -200,12 +199,7 @@ class GroupStructure(Frozen):
 
     def __init__(self, generators: tuple[str, ...], base: str, invariants: InvariantFactors,
                  _images: tuple[tuple[int, ...], ...], _moduli: tuple[int, ...]):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "invariants", invariants)
-        object.__setattr__(self, "_images", _images)
-        object.__setattr__(self, "_moduli", _moduli)
-        vars(self)["_index"] = dict(zip(generators, _images))
+        self._fill(generators, base, invariants, _images, _moduli, _index=dict(zip(generators, _images)))
 
     def _coordinates(self, terms: Iterable[tuple[Hashable, int]], images: Mapping) -> tuple[int, ...]:
         """Class of the sum of c * images[key] over the (key, c) terms; a sum-zero vector is a relation iff it is 0."""
@@ -262,9 +256,7 @@ class PresentationMorphism(Frozen):
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source: AbelianHeapPresentation, target: AbelianHeapPresentation, images: Mapping):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", MappingProxyType(dict(images)))
+        self._fill(source, target, MappingProxyType(dict(images)))
 
     def apply(self, w: AffineWord) -> AffineWord:
         check_support(self.source.generators, w)
@@ -336,8 +328,7 @@ class TrussTable(Frozen):
     __slots__ = ("entries", "unit")
 
     def __init__(self, entries: Mapping, unit: str | None = None):
-        object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
-        object.__setattr__(self, "unit", unit)
+        self._fill(MappingProxyType(dict(entries)), unit)
 
 
 class TrussViolation(NamedTuple):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import k0heap
-from k0heap.cli import run_cli
+from k0heap.cli import build_parser, run_cli
 from k0heap.dsl import SpecSource, parse_spec, print_spec
 from k0heap.instances import finite_sets_spec
 from k0heap.lattice import InvariantFactors
@@ -219,8 +220,26 @@ def test_a_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     spec = tmp_path / "latin1.cat"
     spec.write_bytes(b"object caf\xe9\n")
     assert run_cli(["present", str(spec)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {spec}:1:11: byte 0xe9 is not UTF-8\n"
+
+
+def test_a_map_file_that_is_not_utf8_names_its_line_and_column_in_characters(tmp_path, capsys):
+    src = tmp_path / "a.cat"
+    src.write_text("object A\nobject \u00e9\n", encoding="utf-8")
+    mapfile = tmp_path / "latin1.map"
+    mapfile.write_bytes(b"A => A\r\n\xc3\xa9 => \xe9\n")  # line 2 starts with a two-byte character
+    assert run_cli(["morphism", str(src), str(src), str(mapfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {mapfile}:2:6: byte 0xe9 is not UTF-8\n"
+
+
+def test_a_cell_count_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    cells = tmp_path / "cells.txt"
+    cells.write_bytes(b"1\r2\n# \xff\n")
+    assert run_cli(["demo", "cw", str(cells)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {cells}:3:3: byte 0xff is not UTF-8\n"
 
 
 def test_truss_violation_exits_1(tmp_path, capsys):
@@ -400,6 +419,28 @@ def test_usage_error_exit_code():
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+USAGE = {
+    "present": "usage: k0heap present [-h] [--format {human,structured}] file",
+    "group": "usage: k0heap group [-h] [--format {human,structured}] --base BASE file",
+    "equal": "usage: k0heap equal [-h] [--format {human,structured}] file word1 word2",
+    "truss-check": "usage: k0heap truss-check [-h] [--format {human,structured}] file",
+    "project": "usage: k0heap project [-h] [--format {human,structured}] file",
+    "morphism": "usage: k0heap morphism [-h] [--format {human,structured}] source target mapfile",
+    "reduce": "usage: k0heap reduce [-h] [--format {human,structured}] word",
+    "snf": "usage: k0heap snf [-h] [--format {human,structured}]",
+    "demo": "usage: k0heap demo [-h] [--format {human,structured}] [--convention {same-index,boundary}] "
+            "{set,vect,swindle,cw,zmod} [arg]",
+}
+
+
+@pytest.mark.parametrize("name", USAGE)
+def test_each_subcommand_has_its_usage_line(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough that no usage wraps
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(USAGE)
+    assert commands.choices[name].format_usage() == USAGE[name] + "\n"
 
 
 def source_env():

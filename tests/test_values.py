@@ -9,11 +9,13 @@ value.
 """
 
 import copy
+import inspect
 import pickle
 from types import MappingProxyType
 
 import pytest
 
+from k0heap._frozen import Frozen, _assembled
 from k0heap.category import (
     CategorySpec,
     FunctorReport,
@@ -363,3 +365,27 @@ def test_group_structure_keeps_its_label_index_outside_its_value():
     again = pickle.loads(pickle.dumps(twin))
     assert again == kernel and vars(again) == vars(kernel)
     assert again.class_coordinates(_word(b=1)) == kernel.class_coordinates(_word(b=1))
+
+
+def _frozen_classes(cls=Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_classes(sub)
+
+
+def test_every_value_takes_its_fields_in_slot_order():
+    """``_fill``, ``_assembled`` and ``__reduce__`` pass the fields positionally, in ``_fields`` order."""
+    names = {cls.__name__ for cls in _frozen_classes()}
+    assert {"AffineWord", "CategorySpec", "GroupModel", "GroupStructure", "SmithDecomposition", "TrussTable"} <= names
+    for cls in _frozen_classes():
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), cls
+        assert tuple(p.name for p in params) == cls._fields, cls
+
+
+def test_a_value_assembled_without_a_field_is_refused():
+    assert _assembled(IntMatrix, 1, 1, (5,)) == IntMatrix(1, 1, (5,))
+    with pytest.raises(ValueError):
+        _assembled(IntMatrix, 1, 1)
+    with pytest.raises(ValueError):
+        _assembled(IntMatrix, 1, 1, (5,), (6,))
